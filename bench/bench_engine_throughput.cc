@@ -3,7 +3,7 @@
  * End-to-end throughput of the simulation engine itself: wall-clock
  * time to run a full CNN workload (functional outputs on) through
  * the legacy scalar engine versus the DBB-native fast path
- * (mask-intersection kernels + GemmPlan caching + parallel runner),
+ * (blocked dense INT8 GEMM + GemmPlan caching + parallel runner),
  * plus the encode-amortized rerun through a warm PlanCache (the
  * sweep operating point: one encode, many design points). Emits a
  * JSON record for the bench trajectory and verifies that every
@@ -221,15 +221,14 @@ main(int argc, char **argv)
     std::printf("  %.3f s\n", cached.seconds);
 
     // The SIMD tier rows: the serial fast engine re-timed with the
-    // dispatcher capped at AVX2 (every AVX-512 sub-path off: the
-    // VBMI intersection kernel, the VNNI dense mirror, and the
-    // VPOPCNTDQ profile derivation all fall back), then uncapped.
-    // At the 4/8 operating point the dense-mirror dot dominates, so
-    // this is chiefly VNNI-vs-SSE2 — the headline kernel-ladder
-    // win. Hosts (or builds) without the AVX-512 tier keep the rows
+    // dispatcher capped at AVX2 (every AVX-512 path off: the VNNI
+    // dense GEMM and the VPOPCNTDQ profile derivation both fall
+    // back), then uncapped — chiefly VNNI vpdpbusd vs AVX2
+    // vpmaddwd blocks. Hosts (or builds) without the AVX-512 tier keep the rows
     // with mode "avx512-unsupported-host" and a 1.0x ratio instead
     // of silently comparing AVX2 against itself.
-    const bool avx512_supported = dbbAvx512KernelSupportedImpl();
+    const bool avx512_supported =
+        dbbKernelSupported(DbbKernelKind::Avx512);
     const int tier_reps = std::max(args.reps, 3);
     std::printf("running DBB-native engine (avx2-capped "
                 "dispatch)...\n");
@@ -379,7 +378,7 @@ main(int argc, char **argv)
     // Where the AVX-512 tier runs at all it must win: smoke models
     // are too small for stable timing, but on the full model a
     // regression to parity means a sub-kernel fell off its fast
-    // path (e.g. the dense mirror stopped choosing VNNI).
+    // path (e.g. the dense GEMM stopped choosing VNNI).
     if (!args.smoke && avx512_supported && speedup_simd <= 1.0) {
         s2ta_fatal("avx512 tier speedup %.2fx over avx2 is not a "
                    "win; the kernel ladder regressed",

@@ -20,7 +20,6 @@
 
 #include "arch/accelerator.hh"
 #include "arch/backend.hh"
-#include "arch/gemm_kernels.hh"
 #include "arch/gemm_plan.hh"
 #include "arch/models.hh"
 #include "arch/plan_cache.hh"
@@ -293,24 +292,24 @@ benchFlagList()
            "--test-backend NAME (a BackendRegistry name, e.g. "
            "in-process|scalar-ref|remote-stub), "
            "--trace-out PATH, --metrics-out PATH, "
-           "--simd auto|scalar|ssse3|avx2|avx512";
+           "--simd auto|scalar|avx2|avx512";
 }
 
 /**
  * SIMD dispatch tiers usable on this host *and* build, for --simd
  * error messages ("avx512" needs both -DS2TA_ENABLE_X86_64_V4 and
- * AVX-512 silicon; "ssse3"/"avx2" need the v2 build).
+ * AVX-512 VNNI silicon; "avx2" needs the v2 build).
  */
 inline std::string
 benchSupportedSimdTiers()
 {
-    std::string tiers = "auto|scalar";
-    if (dbbSimdKernelSupportedImpl())
-        tiers += "|ssse3";
-    if (dbbAvx2KernelSupportedImpl())
-        tiers += "|avx2";
-    if (dbbAvx512KernelSupportedImpl())
-        tiers += "|avx512";
+    std::string tiers = "auto";
+    for (const DbbKernelKind kind :
+         {DbbKernelKind::Scalar, DbbKernelKind::Avx2,
+          DbbKernelKind::Avx512}) {
+        if (dbbKernelSupported(kind))
+            tiers += std::string("|") + dbbKernelKindName(kind);
+    }
     return tiers;
 }
 
@@ -600,27 +599,23 @@ parseBenchArgs(int argc, char **argv)
         } else if (arg == "--simd") {
             a.simd = value();
             DbbKernelKind cap = DbbKernelKind::Avx512;
-            bool supported = true;
             if (a.simd == "auto") {
                 cap = DbbKernelKind::Avx512; // uncapped dispatch
             } else if (a.simd == "scalar") {
                 cap = DbbKernelKind::Scalar;
-            } else if (a.simd == "ssse3") {
-                cap = DbbKernelKind::SimdV2;
-                supported = dbbSimdKernelSupportedImpl();
             } else if (a.simd == "avx2") {
                 cap = DbbKernelKind::Avx2;
-                supported = dbbAvx2KernelSupportedImpl();
             } else if (a.simd == "avx512") {
                 cap = DbbKernelKind::Avx512;
-                supported = dbbAvx512KernelSupportedImpl();
             } else {
                 s2ta_fatal("unknown simd tier '%s' (accepted "
-                           "values: auto|scalar|ssse3|avx2|avx512; "
+                           "values: auto|scalar|avx2|avx512; "
                            "this host/build supports: %s)",
                            a.simd.c_str(),
                            benchSupportedSimdTiers().c_str());
             }
+            const bool supported =
+                a.simd == "auto" || dbbKernelSupported(cap);
             if (!supported) {
                 s2ta_fatal("simd tier '%s' is not usable on this "
                            "host/build (supported here: %s) — a "

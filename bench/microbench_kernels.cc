@@ -82,155 +82,59 @@ BM_GemmPlanBuild(benchmark::State &state)
 BENCHMARK(BM_GemmPlanBuild)->Unit(benchmark::kMicrosecond);
 
 void
-BM_MaskIntersectGemm(benchmark::State &state)
+BM_DbbGemm(benchmark::State &state)
 {
     // The DBB-native functional kernel on the same GEMM as
-    // BM_GemmReference: the headline per-element vs mask-intersect
-    // comparison.
+    // BM_GemmReference, through the dispatcher: the headline
+    // per-element vs blocked dense comparison.
     const GemmProblem &p = sharedProblem();
     const GemmPlan plan = GemmPlan::build(p);
     std::vector<int32_t> out(static_cast<size_t>(p.m) * p.n);
-    const int nb = plan.act().blocksPerVector();
     for (auto _ : state) {
-        for (int i = 0; i < p.m; ++i) {
-            const DbbBlock *arow = plan.act().vectorBlocks(i);
-            int32_t *orow = &out[static_cast<size_t>(i) * p.n];
-            for (int j = 0; j < p.n; ++j)
-                orow[j] =
-                    dbbDotRow(arow, plan.wgt().vectorBlocks(j), nb);
-        }
+        dbbGemm(plan, out.data());
         benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
     }
+    state.SetLabel(dbbKernelKindName(dbbActiveKernel()));
     state.SetItemsProcessed(state.iterations() * p.denseMacs());
 }
-BENCHMARK(BM_MaskIntersectGemm)->Unit(benchmark::kMillisecond);
-
-/** True when @p kind's kernel is compiled in and the CPU has it. */
-bool
-tierUsable(DbbKernelKind kind)
-{
-    switch (kind) {
-      case DbbKernelKind::Scalar: return true;
-      case DbbKernelKind::SimdV2: return dbbSimdKernelSupportedImpl();
-      case DbbKernelKind::Avx2:   return dbbAvx2KernelSupportedImpl();
-      case DbbKernelKind::Avx512:
-        return dbbAvx512KernelSupportedImpl();
-    }
-    return false;
-}
-
-/** The row-dot entry point of one tier, bypassing the dispatcher. */
-int32_t (*
-tierRowDot(DbbKernelKind kind))(const DbbBlock *, const DbbBlock *,
-                                int)
-{
-    switch (kind) {
-      case DbbKernelKind::Scalar: return dbbDotRow;
-      case DbbKernelKind::SimdV2: return dbbDotRowSimdV2;
-      case DbbKernelKind::Avx2:   return dbbDotRowAvx2;
-      case DbbKernelKind::Avx512: return dbbDotRowAvx512;
-    }
-    return dbbDotRow;
-}
-
-/** Random DBB row at roughly the requested mask density. */
-std::vector<DbbBlock>
-tierRow(Rng &rng, int nblocks, int mask_bits)
-{
-    std::vector<DbbBlock> row(static_cast<size_t>(nblocks));
-    for (auto &b : row) {
-        b.mask = 0;
-        for (int s = 0; s < mask_bits; ++s)
-            b.mask = maskSet(b.mask,
-                             static_cast<int>(rng.uniformInt(0, 7)));
-        const int stored = maskPopcount(b.mask);
-        for (int s = 0; s < stored; ++s)
-            b.values[static_cast<size_t>(s)] = static_cast<int8_t>(
-                rng.uniformInt(-127, 127) | 1);
-    }
-    return row;
-}
+BENCHMARK(BM_DbbGemm)->Unit(benchmark::kMillisecond);
 
 /**
- * The per-tier mask-intersection row dot: kernel-ladder rows side
- * by side. range(0) picks the tier (skipped with an error when the
- * host/build lacks it — an absent row can never be mistaken for a
- * slow one); range(1) picks the mask regime: dense 8/8 masks make
- * the expansion/permute path the whole cost, sparse 4/8 masks make
- * it an intersection-dominated dot. Bytes processed = stored DBB
- * bytes of both rows, so bytes/sec is directly comparable across
- * tiers and regimes.
+ * The blocked dense GEMM per tier: kernel-ladder rows side by side,
+ * each tier's entry point called directly. range(0) picks the tier
+ * (skipped with an error when the host/build lacks it — an absent
+ * row can never be mistaken for a slow one); range(1) picks K: 1152
+ * (a 3x3x128 conv, whole 16/64-byte chunks) or 392 (the 7x7x8
+ * stem, a K tail on every tier).
  */
 void
-BM_DbbRowDotTier(benchmark::State &state)
+BM_DenseGemmTier(benchmark::State &state)
 {
     const auto kind = static_cast<DbbKernelKind>(state.range(0));
-    const bool dense = state.range(1) != 0;
-    if (!tierUsable(kind)) {
+    if (!dbbKernelSupported(kind)) {
         state.SkipWithError("tier unavailable on this host/build");
         return;
     }
-    Rng rng(0xD07 + state.range(1));
-    const int nblocks = 144; // k = 1152, the conv sweet spot
-    const auto a = tierRow(rng, nblocks, dense ? 8 : 4);
-    const auto w = tierRow(rng, nblocks, dense ? 8 : 4);
-    auto *const fn = tierRowDot(kind);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(fn(a.data(), w.data(), nblocks));
-    state.SetLabel(std::string(dbbKernelKindName(kind)) +
-                   (dense ? " expansion-bound (8/8 masks)"
-                          : " intersection (4/8 masks)"));
-    state.SetBytesProcessed(state.iterations() * 2 * nblocks *
-                            static_cast<int64_t>(sizeof(DbbBlock)));
-}
-BENCHMARK(BM_DbbRowDotTier)
-    ->ArgsProduct({benchmark::CreateDenseRange(0, 3, 1), {0, 1}})
-    ->Unit(benchmark::kNanosecond);
-
-/** Scalar reference dense dot (the baseline the VNNI row beats). */
-int32_t
-denseDotScalar(const int8_t *a, const int8_t *w, int k)
-{
-    int32_t sum = 0;
-    for (int x = 0; x < k; ++x)
-        sum += static_cast<int32_t>(a[x]) * w[x];
-    return sum;
-}
-
-/**
- * The dense-mirror contraction: scalar loop vs the AVX512-VNNI
- * vpdpbusd kernel (range(0)). This is the dot product dbbGemm picks
- * when mask intersection stops paying (>= half the block pairs
- * matched), i.e. the hot loop of the 4/8-density engine bench.
- */
-void
-BM_DenseDotTier(benchmark::State &state)
-{
-    const bool vnni = state.range(0) != 0;
-    if (vnni && !dbbVnniKernelSupportedImpl()) {
-        state.SkipWithError("no AVX512-VNNI on this host/build");
-        return;
-    }
+    const int k = static_cast<int>(state.range(1));
     Rng rng(0xDE4);
-    const int k = 1152;
-    std::vector<int8_t> a(static_cast<size_t>(k));
-    std::vector<int8_t> w(static_cast<size_t>(k));
-    for (int x = 0; x < k; ++x) {
-        a[static_cast<size_t>(x)] =
-            static_cast<int8_t>(rng.uniformInt(-128, 127));
-        w[static_cast<size_t>(x)] =
-            static_cast<int8_t>(rng.uniformInt(-128, 127));
+    const GemmProblem p = makeUnstructuredGemm(256, k, 128, 0.0, 0.0,
+                                               rng);
+    const GemmPlan plan = GemmPlan::build(p);
+    const DenseGemmRowsFn rows = denseGemmRowsFor(kind);
+    std::vector<int32_t> out(static_cast<size_t>(p.m) * p.n);
+    for (auto _ : state) {
+        rows(p.a.data(), plan.wgtDenseT(), p.k, p.n, 0, p.m,
+             out.data());
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
     }
-    auto *const fn = vnni ? dbbDenseDotVnni : denseDotScalar;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(fn(a.data(), w.data(), k));
-    state.SetLabel(vnni ? "avx512-vnni" : "scalar");
-    state.SetBytesProcessed(state.iterations() * 2 * k);
+    state.SetLabel(dbbKernelKindName(kind));
+    state.SetItemsProcessed(state.iterations() * p.denseMacs());
 }
-BENCHMARK(BM_DenseDotTier)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kNanosecond);
+BENCHMARK(BM_DenseGemmTier)
+    ->ArgsProduct({benchmark::CreateDenseRange(0, 2, 1), {1152, 392}})
+    ->Unit(benchmark::kMicrosecond);
 
 /**
  * OperandProfile::fromDbb per derivation tier: the forced-scalar

@@ -34,16 +34,17 @@ class PlanCache;
  * Which simulation engine executes the run.
  *
  * Both engines produce bitwise-identical events and outputs; DbbFast
- * is the default and exploits the DBB format itself (mask
- * intersection + rank gathers, O(matched nnz) per block), while
- * Scalar preserves the original per-element loops as a reference and
- * as the baseline for bench_engine_throughput.
+ * is the default and exploits the DBB format itself (event counts
+ * from the cached block masks, outputs from one register-blocked
+ * dense INT8 GEMM), while Scalar preserves the original per-element
+ * loops as a reference and as the baseline for
+ * bench_engine_throughput.
  */
 enum class EngineKind
 {
     /** Legacy per-element loops over the dense operands. */
     Scalar,
-    /** Mask-intersection kernels over cached DBB encodings. */
+    /** Mask-derived events and the dense GEMM over a cached plan. */
     DbbFast,
 };
 

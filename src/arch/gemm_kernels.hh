@@ -1,19 +1,18 @@
 /**
  * @file
- * Internal declarations for the runtime-dispatched mask-intersection
- * row-dot kernels.
+ * Internal declarations for the runtime-dispatched dense INT8 GEMM
+ * tiers and the AVX-512 profile sub-kernel.
  *
  * Each SIMD tier lives in its own translation unit compiled with
- * exactly the ISA it needs (see S2TA_ENABLE_X86_64_V2 in
+ * exactly the ISA it needs (see S2TA_ENABLE_X86_64_V2/V4 in
  * CMakeLists.txt); this header carries only declarations so
  * including it never instantiates code under a raised ISA. Callers
- * go through dbbActiveKernel() in gemm_plan.hh — these symbols are
- * exposed for the dispatcher and for the kernel-equivalence property
- * tests, which compare every compiled-in tier against the scalar
- * rank-gather loop on the same block rows. When a tier is compiled
- * out (option off, or a non-x86 target) its entry point is a scalar
- * alias and its probe reports unsupported, so the symbols always
- * link.
+ * go through dbbGemm() and dbbActiveKernel() in gemm_plan.hh — these
+ * symbols are exposed for the dispatcher, the kernel property tests
+ * (every compiled-in tier against gemmReference) and the
+ * microbenchmarks. When a tier is compiled out (option off, or a
+ * non-x86 target) its entry point is an alias of the baseline tier
+ * and its probe reports unsupported, so the symbols always link.
  */
 
 #ifndef S2TA_ARCH_GEMM_KERNELS_HH
@@ -24,50 +23,51 @@
 namespace s2ta {
 
 struct DbbBlock;
-
-/** SSSE3 pshufb-expansion row dot (gemm_kernels_v2.cc). */
-int32_t dbbDotRowSimdV2(const DbbBlock *a, const DbbBlock *w,
-                        int nblocks);
-
-/** True when the SSSE3 tier is compiled in and this CPU has it. */
-bool dbbSimdKernelSupportedImpl();
+enum class DbbKernelKind;
 
 /**
- * AVX2 tier (gemm_kernels_avx2.cc): four blocks per operand expand
- * into one 256-bit register per iteration — twice the SSSE3 batch
- * per shuffle.
+ * One tier of the functional GEMM. Writes, for every output row i in
+ * [row_begin, row_end) and column j < n,
+ *
+ *     out[i * n + j] = sum over x < k of a[i * k + x] * wt[j * k + x]
+ *
+ * with INT32 wraparound accumulation, where @p a is the row-major
+ * activation matrix and @p wt the transposed (n x k) weights. Every
+ * tier is bit-identical to gemmReference: the products are exact
+ * and addition mod 2^32 is order-independent.
  */
-int32_t dbbDotRowAvx2(const DbbBlock *a, const DbbBlock *w,
-                      int nblocks);
+using DenseGemmRowsFn = void (*)(const int8_t *a, const int8_t *wt,
+                                 int k, int n, int row_begin,
+                                 int row_end, int32_t *out);
+
+/** Baseline tier (gemm_plan.cc): SSE2 pmaddwd register blocks on
+ *  x86-64, portable loops elsewhere. Always available. */
+void denseGemmRowsBase(const int8_t *a, const int8_t *wt, int k, int n,
+                       int row_begin, int row_end, int32_t *out);
+
+/** AVX2 tier (gemm_kernels_avx2.cc): vpmovsxbw + vpmaddwd. */
+void denseGemmRowsAvx2(const int8_t *a, const int8_t *wt, int k, int n,
+                       int row_begin, int row_end, int32_t *out);
 
 /** True when the AVX2 tier is compiled in and this CPU has it. */
 bool dbbAvx2KernelSupportedImpl();
 
 /**
- * AVX-512 tier (gemm_kernels_avx512.cc): EIGHT blocks per operand
- * expand into one 512-bit register per masked-zeroing vpermi2b
- * (AVX512VBMI), then one 512-bit madd tree contracts 64 dense INT8
- * lanes per iteration.
+ * AVX-512 tier (gemm_kernels_avx512.cc): one VNNI vpdpbusd per 64
+ * INT8 pairs. vpdpbusd is u8 x s8, so the signed dot is recovered
+ * exactly as dp(a ^ 0x80, w) - 128 * dp(1, w) mod 2^32.
  */
-int32_t dbbDotRowAvx512(const DbbBlock *a, const DbbBlock *w,
-                        int nblocks);
+void denseGemmRowsAvx512(const int8_t *a, const int8_t *wt, int k,
+                         int n, int row_begin, int row_end,
+                         int32_t *out);
 
-/** True when the AVX-512 intersection kernel is compiled in and
- *  this CPU has avx512bw + avx512vbmi. */
+/** True when the AVX-512 tier is compiled in and this CPU has
+ *  avx512bw + avx512vnni. */
 bool dbbAvx512KernelSupportedImpl();
 
-/**
- * VNNI dense-mirror dot product (sub-feature of the AVX-512 tier):
- * one vpdpbusd contracts 64 INT8 pairs per instruction. vpdpbusd is
- * u8 x s8, so the signed result is recovered exactly as
- * dp(a ^ 0x80, w) - 128 * dp(1, w) — bit-identical to the scalar
- * INT32 wrapping accumulation.
- */
-int32_t dbbDenseDotVnni(const int8_t *a, const int8_t *w, int k);
-
-/** True when the VNNI dense dot is compiled in and this CPU has
- *  avx512vnni (probed independently of the intersection kernel). */
-bool dbbVnniKernelSupportedImpl();
+/** The entry point of tier @p kind, bypassing the dispatcher's cap
+ *  (the caller checks dbbKernelSupported first). */
+DenseGemmRowsFn denseGemmRowsFor(DbbKernelKind kind);
 
 /**
  * VPOPCNTDQ profile derivation (sub-feature of the AVX-512 tier):

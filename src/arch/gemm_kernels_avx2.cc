@@ -1,35 +1,29 @@
 /**
  * @file
- * AVX2 tier of the mask-intersection row dot product: the SSSE3
- * scheme (gemm_kernels_v2.cc) widened to 256-bit registers.
- *
- * vpshufb shuffles within each 128-bit lane independently, which is
- * exactly the structure the DBB expansion needs: each lane expands
- * two compressed blocks with the same 256-entry permutation table
- * as the SSSE3 kernel, so one shuffle now expands FOUR blocks per
- * operand — twice the batch — and one vpmaddwd tree contracts all
- * 32 dense INT8 lanes. Skipped positions contribute exact zeros and
- * INT32 wraparound addition is order-independent, so the result is
- * bit-identical to dbbDotRow and to the SSSE3 tier (property-tested
- * in tests/arch/test_gemm_kernels.cc).
+ * AVX2 tier of the dense INT8 GEMM: the baseline tier's 2 x 4
+ * register blocks, with each 16-byte chunk sign-extended to sixteen
+ * INT16 lanes by one vpmovsxbw and contracted by vpmaddwd. Not
+ * vpmaddubsw: its INT16 pair sums saturate, which would break
+ * exactness. A vpmaddwd lane sums two INT8 products, so it cannot
+ * overflow, and the INT32 accumulators wrap exactly like the scalar
+ * sum — bit-identical to gemmReference (property-tested in
+ * tests/arch/test_gemm_kernels.cc).
  *
  * This translation unit is the only one compiled with AVX2 codegen
- * (see S2TA_ENABLE_X86_64_V2 in CMakeLists.txt — one build option
- * gates every x86 tier; each tier probes its own cpuid bit).
- * Callers reach it through dbbActiveKernel()'s runtime dispatch,
- * which prefers this tier, then SSSE3, then scalar. Like the SSSE3
- * TU, the SIMD branch must not call inline functions from shared
- * headers: a comdat copy compiled here could be kept by the linker
- * for the whole program and break the runtime fallback on older
- * CPUs. The odd tail therefore pads with all-zero partner blocks
- * (mask 0 expands to all-zero lanes, contributing exact zeros).
+ * (see S2TA_ENABLE_X86_64_V2 in CMakeLists.txt). Callers reach it
+ * through dbbActiveKernel()'s runtime dispatch. The SIMD branch must
+ * not call inline functions from shared headers: a comdat copy
+ * compiled here could be kept by the linker for the whole program
+ * and break the runtime fallback on older CPUs (gemm_blocked.hh is
+ * internal-linkage templates only).
  */
 
 #include "arch/gemm_kernels.hh"
-#include "core/dbb.hh"
 
 #if defined(S2TA_X86_64_V2) && defined(__AVX2__)
 #include <immintrin.h>
+
+#include "arch/gemm_blocked.hh"
 #define S2TA_HAVE_SIMD_AVX2 1
 #endif
 
@@ -39,118 +33,101 @@ namespace s2ta {
 
 namespace {
 
-/**
- * Per-mask pshufb control expanding compressed storage to dense
- * lanes: byte i holds rank(mask, i) when bit i is set, 0x80 (lane
- * zeroed by pshufb) otherwise. Same table as the SSSE3 tier; each
- * TU owns its copy so neither depends on symbols compiled under the
- * other's ISA.
- */
-struct ExpandTable
+/** 2 A rows x 4 W^T columns per pass (11 of the 16 YMM registers). */
+struct Avx2Tile
 {
-    alignas(16) uint8_t ctrl[256][8];
-};
+    static constexpr int R = 2;
+    static constexpr int C = 4;
 
-constexpr ExpandTable kExpand = [] {
-    ExpandTable t{};
-    for (unsigned m = 0; m < 256; ++m) {
-        unsigned rank = 0;
-        for (int i = 0; i < 8; ++i) {
-            if ((m >> i) & 1u)
-                t.ctrl[m][i] = static_cast<uint8_t>(rank++);
-            else
-                t.ctrl[m][i] = 0x80;
+    const int8_t *panel;
+    int k;
+    const int8_t *rows[R] = {};
+
+    Avx2Tile(const int8_t *panel_, int k_, int) : panel(panel_), k(k_)
+    {}
+
+    static __m256i
+    widen(const int8_t *p)
+    {
+        return _mm256_cvtepi8_epi16(
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(p)));
+    }
+
+    static void
+    step(__m256i (&acc)[R][C], const int8_t *const *ap,
+         const int8_t *const *wp, int x)
+    {
+        __m256i av[R];
+        for (int r = 0; r < R; ++r)
+            av[r] = widen(ap[r] + x);
+        for (int c = 0; c < C; ++c) {
+            const __m256i wv = widen(wp[c] + x);
+            for (int r = 0; r < R; ++r)
+                acc[r][c] = _mm256_add_epi32(
+                    acc[r][c], _mm256_madd_epi16(av[r], wv));
         }
     }
-    return t;
-}();
 
-/**
- * Expand two consecutive blocks into one 128-bit half (block b0 in
- * lanes 0-7, b1 in 8-15), exactly the SSSE3 expandPair layout. The
- * upper control bytes are offset by 8 to index b1's values in the
- * combined register; 0x80 zero-lanes stay >= 0x80 under the OR, so
- * the shuffle still clears them.
- */
-inline __m128i
-expandPair128(const DbbBlock &b0, const DbbBlock &b1)
-{
-    const __m128i vals = _mm_unpacklo_epi64(
-        _mm_loadl_epi64(
-            reinterpret_cast<const __m128i *>(&b0.values)),
-        _mm_loadl_epi64(
-            reinterpret_cast<const __m128i *>(&b1.values)));
-    const __m128i ctrl = _mm_or_si128(
-        _mm_unpacklo_epi64(
-            _mm_loadl_epi64(reinterpret_cast<const __m128i *>(
-                kExpand.ctrl[b0.mask])),
-            _mm_loadl_epi64(reinterpret_cast<const __m128i *>(
-                kExpand.ctrl[b1.mask]))),
-        _mm_set_epi64x(0x0808080808080808ll, 0));
-    return _mm_shuffle_epi8(vals, ctrl);
-}
+    void
+    setRows(const int8_t *const *r)
+    {
+        for (int i = 0; i < R; ++i)
+            rows[i] = r[i];
+    }
 
-/**
- * Expand four consecutive blocks of one operand into 32 dense INT8
- * lanes: blocks 0-1 fill the low 128-bit lane, blocks 2-3 the high
- * one. Both operands of a dot product expand with the identical
- * permutation, so lane k of A always meets lane k of W.
- */
-inline __m256i
-expandQuad(const DbbBlock *b)
-{
-    return _mm256_set_m128i(expandPair128(b[2], b[3]),
-                            expandPair128(b[0], b[1]));
-}
-
-/** Exact INT8x32 dot product folded into an INT32x8 accumulator. */
-inline __m256i
-maddAccumulate(__m256i acc, __m256i av, __m256i wv)
-{
-    const __m256i zero = _mm256_setzero_si256();
-    // Sign-extend each INT8 half-lane into INT16 (bytes enter the
-    // high half of each word; the arithmetic shift restores sign).
-    // unpacklo/hi operate per 128-bit lane on both operands the
-    // same way, so products still pair a[i] with w[i].
-    const __m256i alo =
-        _mm256_srai_epi16(_mm256_unpacklo_epi8(zero, av), 8);
-    const __m256i ahi =
-        _mm256_srai_epi16(_mm256_unpackhi_epi8(zero, av), 8);
-    const __m256i wlo =
-        _mm256_srai_epi16(_mm256_unpacklo_epi8(zero, wv), 8);
-    const __m256i whi =
-        _mm256_srai_epi16(_mm256_unpackhi_epi8(zero, wv), 8);
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(alo, wlo));
-    return _mm256_add_epi32(acc, _mm256_madd_epi16(ahi, whi));
-}
+    void
+    block(const int *jc, int32_t *out) const
+    {
+        const int8_t *cols[C];
+        for (int c = 0; c < C; ++c)
+            cols[c] = panel + static_cast<size_t>(jc[c]) * k;
+        __m256i acc[R][C];
+        for (auto &row : acc)
+            for (auto &v : row)
+                v = _mm256_setzero_si256();
+        int x = 0;
+        for (; x + 16 <= k; x += 16)
+            step(acc, rows, cols, x);
+        if (x < k) {
+            int8_t abuf[R][16], wbuf[C][16];
+            const int8_t *ap[R], *wp[C];
+            for (int r = 0; r < R; ++r) {
+                padTail<16>(rows[r] + x, k - x, abuf[r]);
+                ap[r] = abuf[r];
+            }
+            for (int c = 0; c < C; ++c) {
+                padTail<16>(cols[c] + x, k - x, wbuf[c]);
+                wp[c] = wbuf[c];
+            }
+            step(acc, ap, wp, 0);
+        }
+        // Transpose-add within each 128-bit half (lane c = partial
+        // sum of acc[r][c]), then fold the two halves.
+        for (int r = 0; r < R; ++r) {
+            const __m256i s01 = _mm256_add_epi32(
+                _mm256_unpacklo_epi32(acc[r][0], acc[r][1]),
+                _mm256_unpackhi_epi32(acc[r][0], acc[r][1]));
+            const __m256i s23 = _mm256_add_epi32(
+                _mm256_unpacklo_epi32(acc[r][2], acc[r][3]),
+                _mm256_unpackhi_epi32(acc[r][2], acc[r][3]));
+            const __m256i s = _mm256_add_epi32(
+                _mm256_unpacklo_epi64(s01, s23),
+                _mm256_unpackhi_epi64(s01, s23));
+            _mm_storeu_si128(
+                reinterpret_cast<__m128i *>(out + r * C),
+                _mm_add_epi32(_mm256_castsi256_si128(s),
+                              _mm256_extracti128_si256(s, 1)));
+        }
+    }
+};
 
 } // anonymous namespace
 
-int32_t
-dbbDotRowAvx2(const DbbBlock *a, const DbbBlock *w, int nblocks)
+void
+denseGemmRowsAvx2(const int8_t *a, const int8_t *wt, int k, int n,
+                  int row_begin, int row_end, int32_t *out)
 {
-    __m256i acc = _mm256_setzero_si256();
-    int b = 0;
-    for (; b + 4 <= nblocks; b += 4) {
-        acc = maddAccumulate(acc, expandQuad(a + b),
-                             expandQuad(w + b));
-    }
-    if (b < nblocks) {
-        // 1-3 trailing blocks: pad with all-zero partners instead
-        // of touching shared inline helpers (see the file comment).
-        DbbBlock tail_a[4] = {};
-        DbbBlock tail_w[4] = {};
-        for (int t = 0; b + t < nblocks; ++t) {
-            tail_a[t] = a[b + t];
-            tail_w[t] = w[b + t];
-        }
-        acc = maddAccumulate(acc, expandQuad(tail_a),
-                             expandQuad(tail_w));
-    }
-    alignas(32) int32_t lanes[8];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), acc);
-    return lanes[0] + lanes[1] + lanes[2] + lanes[3] + lanes[4] +
-           lanes[5] + lanes[6] + lanes[7];
+    blockedGemmRows<Avx2Tile>(a, wt, k, n, row_begin, row_end, out);
 }
 
 bool
@@ -163,13 +140,13 @@ dbbAvx2KernelSupportedImpl()
 
 // Built without the x86-64-v2 option (or on a target without AVX2
 // codegen): keep the symbols so the dispatcher links, but report
-// the tier unavailable — dbbActiveKernel() then falls through to
-// the SSSE3 tier or the scalar path and this alias is never called
-// in anger.
-int32_t
-dbbDotRowAvx2(const DbbBlock *a, const DbbBlock *w, int nblocks)
+// the tier unavailable — dbbActiveKernel() then stays on the
+// baseline tier and this alias is never called in anger.
+void
+denseGemmRowsAvx2(const int8_t *a, const int8_t *wt, int k, int n,
+                  int row_begin, int row_end, int32_t *out)
 {
-    return dbbDotRow(a, w, nblocks);
+    denseGemmRowsBase(a, wt, k, n, row_begin, row_end, out);
 }
 
 bool

@@ -1,40 +1,26 @@
 /**
  * @file
- * AVX-512 tier of the DBB kernels: the AVX2 scheme widened to
- * 512-bit registers, plus two feature-gated sub-kernels.
+ * AVX-512 tier of the dense INT8 GEMM, plus the VPOPCNTDQ profile
+ * sub-kernel.
  *
- *  - Intersection row dot (avx512bw + avx512vbmi): EIGHT compressed
- *    blocks per operand expand into one ZMM with a single
- *    masked-zeroing vpermi2b. Eight stride-9 blocks span 72 bytes,
- *    so the two-source permute reads a full 64-byte load plus an
- *    8-byte masked load; the per-block expansion controls come from
- *    the same 256-entry permutation table as the narrower tiers,
- *    pre-packed as uint64 words (fetched with one 8-qword gather)
- *    and offset per block lane. vpermb has no zero-control byte the
- *    way pshufb does — the zeroing k-mask (the concatenation of the
- *    eight block masks) supplies it, so garbage indices on skipped
- *    lanes are never observable. Contraction of the 64 dense INT8
- *    lanes per iteration is one vpdpbusd when the CPU also has
- *    avx512vnni (runtime-probed), else a 512-bit madd tree.
- *  - Dense-mirror dot (avx512vnni): vpdpbusd contracts 64 INT8
- *    pairs per instruction. It multiplies u8 x s8, so the signed
- *    dot is recovered exactly as dp(a ^ 0x80, w) - 128 * dp(1, w);
- *    all arithmetic wraps mod 2^32, bit-identical to the scalar
- *    INT32 accumulation.
+ *  - Dense GEMM (avx512bw + avx512vnni): 4 A rows x 4 W^T columns
+ *    per pass, one vpdpbusd per 64 INT8 pairs. vpdpbusd multiplies
+ *    u8 x s8, so the signed dot is recovered exactly as
+ *    dp(a ^ 0x80, w) - 128 * dp(1, w); the column sums dp(1, w) are
+ *    taken once per 64-column panel and shared by every row block.
+ *    The K tail is a masked load: a zeroed lane biases to 128 but
+ *    meets a zero weight. All arithmetic wraps mod 2^32,
+ *    bit-identical to gemmReference.
  *  - Profile derivation (avx512vpopcntdq + avx512bw): per-vector
  *    nnz from vpopcntq over packed mask words, per-position
  *    histogram updates from vpmovm2b-widened mask bytes.
  *
- * Skipped positions contribute exact zeros and INT32 wraparound
- * addition is order-independent, so every path is bit-identical to
- * the scalar kernels (property-tested in
- * tests/arch/test_gemm_kernels.cc).
+ * Both are property-tested in tests/arch/test_gemm_kernels.cc.
  *
  * This translation unit is the only one compiled with AVX-512
  * codegen (see S2TA_ENABLE_X86_64_V4 in CMakeLists.txt). Each
- * sub-kernel probes its own cpuid bits, so a CPU with e.g.
- * avx512bw but no VNNI still gets the intersection kernel while the
- * dense path falls back to SSE2. Like the lower tiers, the SIMD
+ * sub-kernel probes its own cpuid bits, so a CPU with VNNI but no
+ * VPOPCNTDQ still gets the GEMM tier. Like the AVX2 tier, the SIMD
  * branch must not call inline functions from shared headers: a
  * comdat copy compiled here could be kept by the linker for the
  * whole program and break the runtime fallback on older CPUs.
@@ -44,9 +30,11 @@
 #include "core/dbb.hh"
 
 #if defined(S2TA_X86_64_V4) && defined(__AVX512F__) &&                \
-    defined(__AVX512BW__) && defined(__AVX512VBMI__) &&               \
-    defined(__AVX512VNNI__) && defined(__AVX512VPOPCNTDQ__)
+    defined(__AVX512BW__) && defined(__AVX512VNNI__) &&               \
+    defined(__AVX512VPOPCNTDQ__)
 #include <immintrin.h>
+
+#include "arch/gemm_blocked.hh"
 #define S2TA_HAVE_SIMD_AVX512 1
 #endif
 
@@ -56,280 +44,133 @@ namespace s2ta {
 
 namespace {
 
-/**
- * Per-mask expansion permutation packed as one uint64 word: byte i
- * holds rank(mask, i) when bit i is set, 0x80 otherwise. The 0x80
- * filler never survives: the zeroing k-mask clears exactly those
- * lanes. Each tier owns its table copy (see the file comment).
- */
-struct ExpandQTable
+// maskz forms with all-ones masks below: same instructions as the
+// plain variants, but GCC 12's unmasked wrappers expand through the
+// _mm*_undefined_* helpers, which -Werror=uninitialized rejects.
+constexpr __mmask8 kAll8 = 0xFF;
+constexpr __mmask16 kAll16 = 0xFFFF;
+
+/** The bytes of p[0, k - x) when fewer than 64 remain, else 64. */
+__mmask64
+chunkMask(int k, int x)
 {
-    uint64_t q[256];
+    const int rem = k - x;
+    return rem >= 64 ? ~__mmask64{0}
+                     : ~__mmask64{0} >> (64 - static_cast<unsigned>(rem));
+}
+
+/**
+ * 4 A rows x 4 W^T columns per pass: 16 accumulators, 4 biased A
+ * chunks and one W chunk (22 of the 32 ZMM registers).
+ */
+struct Avx512Tile
+{
+    static constexpr int R = 4;
+    static constexpr int C = 4;
+
+    const int8_t *panel;
+    int k;
+    const int8_t *rows[R] = {};
+    /** dp(1, w) of each panel column, for the bias correction. */
+    int32_t col_sum[64];
+
+    Avx512Tile(const int8_t *panel_, int k_, int cols)
+        : panel(panel_), k(k_)
+    {
+        const __m512i ones = _mm512_set1_epi8(1);
+        for (int c = 0; c < cols; ++c) {
+            const int8_t *w = panel + static_cast<size_t>(c) * k;
+            __m512i s = _mm512_setzero_si512();
+            for (int x = 0; x < k; x += 64)
+                s = _mm512_dpbusd_epi32(
+                    s, ones,
+                    _mm512_maskz_loadu_epi8(chunkMask(k, x), w + x));
+            // Store-and-sum: GCC's _mm512_reduce_add_epi32 expands
+            // through an _mm256_undefined_si256 the -Werror build
+            // rejects. Unsigned, so the sum wraps mod 2^32.
+            alignas(64) uint32_t lane[16];
+            _mm512_store_si512(lane, s);
+            uint32_t sum = 0;
+            for (const uint32_t v : lane)
+                sum += v;
+            col_sum[c] = static_cast<int32_t>(sum);
+        }
+    }
+
+    void
+    setRows(const int8_t *const *r)
+    {
+        for (int i = 0; i < R; ++i)
+            rows[i] = r[i];
+    }
+
+    void
+    block(const int *jc, int32_t *out) const
+    {
+        const __m512i bias = _mm512_set1_epi8(static_cast<char>(0x80));
+        const int8_t *cols[C];
+        for (int c = 0; c < C; ++c)
+            cols[c] = panel + static_cast<size_t>(jc[c]) * k;
+        __m512i acc[R][C];
+        for (auto &row : acc)
+            for (auto &v : row)
+                v = _mm512_setzero_si512();
+        for (int x = 0; x < k; x += 64) {
+            const __mmask64 m = chunkMask(k, x);
+            __m512i av[R];
+            for (int r = 0; r < R; ++r)
+                av[r] = _mm512_xor_si512(
+                    _mm512_maskz_loadu_epi8(m, rows[r] + x), bias);
+            for (int c = 0; c < C; ++c) {
+                const __m512i wv =
+                    _mm512_maskz_loadu_epi8(m, cols[c] + x);
+                for (int r = 0; r < R; ++r)
+                    acc[r][c] = _mm512_dpbusd_epi32(acc[r][c], av[r], wv);
+            }
+        }
+        const __m128i corr = _mm_slli_epi32(
+            _mm_setr_epi32(col_sum[jc[0]], col_sum[jc[1]],
+                           col_sum[jc[2]], col_sum[jc[3]]),
+            7);
+        // Transpose-add within each 128-bit lane (lane c = partial
+        // sum of acc[r][c]), fold the four lanes, then remove the
+        // bias: 128 * dp(1, w) per column.
+        for (int r = 0; r < R; ++r) {
+            const __m512i s01 = _mm512_add_epi32(
+                _mm512_maskz_unpacklo_epi32(kAll16, acc[r][0], acc[r][1]),
+                _mm512_maskz_unpackhi_epi32(kAll16, acc[r][0], acc[r][1]));
+            const __m512i s23 = _mm512_add_epi32(
+                _mm512_maskz_unpacklo_epi32(kAll16, acc[r][2], acc[r][3]),
+                _mm512_maskz_unpackhi_epi32(kAll16, acc[r][2], acc[r][3]));
+            const __m512i s = _mm512_add_epi32(
+                _mm512_maskz_unpacklo_epi64(kAll8, s01, s23),
+                _mm512_maskz_unpackhi_epi64(kAll8, s01, s23));
+            const __m256i h = _mm256_add_epi32(
+                _mm512_maskz_extracti64x4_epi64(kAll8, s, 0),
+                _mm512_maskz_extracti64x4_epi64(kAll8, s, 1));
+            const __m128i q = _mm_add_epi32(
+                _mm256_castsi256_si128(h),
+                _mm256_extracti128_si256(h, 1));
+            _mm_storeu_si128(reinterpret_cast<__m128i *>(out + r * C),
+                             _mm_sub_epi32(q, corr));
+        }
+    }
 };
-
-constexpr ExpandQTable kExpandTable = [] {
-    ExpandQTable t{};
-    for (unsigned m = 0; m < 256; ++m) {
-        uint64_t w = 0;
-        unsigned rank = 0;
-        for (int i = 0; i < 8; ++i) {
-            const uint64_t byte =
-                ((m >> i) & 1u) ? rank++ : 0x80u;
-            w |= byte << (8 * i);
-        }
-        t.q[m] = w;
-    }
-    return t;
-}();
-
-/**
- * Byte offset of block j's values within the 8-block group,
- * replicated per byte so one vector add rebases every control byte
- * at once. Ranks are <= 7 and offsets <= 63, so no per-byte sum
- * carries into its neighbor.
- */
-alignas(64) constexpr uint64_t kLaneBase[8] = {
-    0x0101010101010101ull * 0,  0x0101010101010101ull * 9,
-    0x0101010101010101ull * 18, 0x0101010101010101ull * 27,
-    0x0101010101010101ull * 36, 0x0101010101010101ull * 45,
-    0x0101010101010101ull * 54, 0x0101010101010101ull * 63,
-};
-
-/**
- * Expand eight consecutive blocks of one operand into 64 dense INT8
- * lanes (block j in lanes 8j..8j+7). Both operands of a dot product
- * expand with the identical permutation, so lane k of A always
- * meets lane k of W.
- *
- * The zeroing k-mask (the concatenation of the eight block masks)
- * is assembled from eight scalar byte loads — cheap ALU work on the
- * load/int ports — and one vector gather fetches the eight
- * pre-packed control qwords from the 256-entry permutation table.
- * Everything stays off the stack: routing the controls through a
- * local array instead would bounce eight scalar stores into one
- * 64-byte reload, stalling store-to-load forwarding on every call,
- * and an all-vpermb control build (nibble-rank lookups) oversubs
- * the one shuffle port the final permute and any unpack/madd
- * contraction already need.
- */
-inline __m512i
-expandOct(const DbbBlock *b, uint64_t km)
-{
-    const char *bytes = reinterpret_cast<const char *>(b);
-    // Eight stride-9 blocks span 72 bytes: one full 64-byte source
-    // plus an 8-byte masked load (masked-out lanes are not read, so
-    // this never touches memory past the row).
-    const __m512i src0 = _mm512_loadu_si512(bytes);
-    const __m512i src1 = _mm512_maskz_loadu_epi8(
-        static_cast<__mmask64>(0xFF), bytes + 64);
-    // Masked forms of the widen/gather: same instructions, but GCC
-    // 12's unmasked wrappers expand through _mm512_undefined_epi32,
-    // which -Werror=maybe-uninitialized rejects.
-    const __m512i midx = _mm512_maskz_cvtepu8_epi64(
-        static_cast<__mmask8>(0xFF),
-        _mm_cvtsi64_si128(static_cast<long long>(km)));
-    const __m512i idx = _mm512_add_epi64(
-        _mm512_mask_i64gather_epi64(_mm512_setzero_si512(),
-                                    static_cast<__mmask8>(0xFF),
-                                    midx, kExpandTable.q, 8),
-        _mm512_load_si512(kLaneBase));
-    return _mm512_maskz_permutex2var_epi8(
-        static_cast<__mmask64>(km), src0, idx, src1);
-}
-
-/** The eight mask bytes of one block group as one qword: byte j =
- *  b[j].mask. Doubles as expandOct's k-mask and its gather key. */
-inline uint64_t
-groupMasks(const DbbBlock *b)
-{
-    uint64_t km = 0;
-    for (int j = 0; j < 8; ++j)
-        km |= static_cast<uint64_t>(b[j].mask) << (8 * j);
-    return km;
-}
-
-/**
- * Horizontal INT32x16 sum with wraparound. GCC's
- * _mm512_reduce_add_epi32 expands through _mm256_undefined_si256,
- * which -Werror=uninitialized rejects; the store-and-sum form below
- * compiles to the same shuffle tree and keeps the mod-2^32 wrap
- * well-defined by accumulating unsigned.
- */
-inline int32_t
-reduceAdd512(__m512i v)
-{
-    alignas(64) int32_t lane[16];
-    _mm512_store_si512(lane, v);
-    uint32_t sum = 0;
-    for (int i = 0; i < 16; ++i)
-        sum += static_cast<uint32_t>(lane[i]);
-    return static_cast<int32_t>(sum);
-}
-
-/** Exact INT8x64 dot product folded into an INT32x16 accumulator. */
-inline __m512i
-maddAccumulate512(__m512i acc, __m512i av, __m512i wv)
-{
-    const __m512i zero = _mm512_setzero_si512();
-    // Sign-extend each INT8 half-lane into INT16 (bytes enter the
-    // high half of each word; the arithmetic shift restores sign).
-    // unpacklo/hi operate per 128-bit lane on both operands the
-    // same way, so products still pair a[i] with w[i].
-    const __m512i alo =
-        _mm512_srai_epi16(_mm512_unpacklo_epi8(zero, av), 8);
-    const __m512i ahi =
-        _mm512_srai_epi16(_mm512_unpackhi_epi8(zero, av), 8);
-    const __m512i wlo =
-        _mm512_srai_epi16(_mm512_unpacklo_epi8(zero, wv), 8);
-    const __m512i whi =
-        _mm512_srai_epi16(_mm512_unpackhi_epi8(zero, wv), 8);
-    acc = _mm512_add_epi32(acc, _mm512_madd_epi16(alo, wlo));
-    return _mm512_add_epi32(acc, _mm512_madd_epi16(ahi, whi));
-}
-
-/**
- * The madd-tree row dot: works on any avx512bw + avx512vbmi CPU.
- * INT32 wraparound addition is order-independent, so the tree
- * reduction matches the scalar left-to-right sum bit for bit.
- */
-int32_t
-dotRowMadd(const DbbBlock *a, const DbbBlock *w, int nblocks)
-{
-    __m512i acc = _mm512_setzero_si512();
-    int b = 0;
-    for (; b + 8 <= nblocks; b += 8) {
-        acc = maddAccumulate512(acc,
-                                expandOct(a + b, groupMasks(a + b)),
-                                expandOct(w + b,
-                                          groupMasks(w + b)));
-    }
-    if (b < nblocks) {
-        // 1-7 trailing blocks: pad with all-zero partners instead
-        // of touching shared inline helpers (see the file comment).
-        DbbBlock tail_a[8] = {};
-        DbbBlock tail_w[8] = {};
-        for (int t = 0; b + t < nblocks; ++t) {
-            tail_a[t] = a[b + t];
-            tail_w[t] = w[b + t];
-        }
-        acc = maddAccumulate512(acc,
-                                expandOct(tail_a,
-                                          groupMasks(tail_a)),
-                                expandOct(tail_w,
-                                          groupMasks(tail_w)));
-    }
-    return reduceAdd512(acc);
-}
-
-/**
- * The VNNI row dot: expansion as above, contraction folded into one
- * vpdpbusd per operand pair instead of the four-unpack/two-madd
- * tree — the tree's shuffles compete with the expansion permutes
- * for the single 512-bit shuffle port, while vpdpbusd issues on the
- * FMA ports. Signedness is recovered with the same exact identity
- * as dbbDenseDotVnni: dp(a ^ 0x80, w) - 128 * dp(1, w) mod 2^32.
- * The bias turns a zeroed (masked-out) activation lane into 128,
- * but that lane's weight partner is a matched-position zero only
- * when the weight mask bit is also clear — not in general — so the
- * correction term must use the EXPANDED weight vector's column sum,
- * which counts exactly the lanes the biased product saw. Both
- * accumulators wrap mod 2^32, so the result is bit-identical to the
- * scalar rank-gather loop.
- */
-int32_t
-dotRowVnni(const DbbBlock *a, const DbbBlock *w, int nblocks)
-{
-    const __m512i bias = _mm512_set1_epi8(static_cast<char>(0x80));
-    const __m512i ones = _mm512_set1_epi8(1);
-    __m512i acc = _mm512_setzero_si512();
-    __m512i wsum = _mm512_setzero_si512();
-    int b = 0;
-    for (; b + 8 <= nblocks; b += 8) {
-        const __m512i av = expandOct(a + b, groupMasks(a + b));
-        const __m512i wv = expandOct(w + b, groupMasks(w + b));
-        acc = _mm512_dpbusd_epi32(acc, _mm512_xor_si512(av, bias),
-                                  wv);
-        wsum = _mm512_dpbusd_epi32(wsum, ones, wv);
-    }
-    if (b < nblocks) {
-        DbbBlock tail_a[8] = {};
-        DbbBlock tail_w[8] = {};
-        for (int t = 0; b + t < nblocks; ++t) {
-            tail_a[t] = a[b + t];
-            tail_w[t] = w[b + t];
-        }
-        const __m512i av = expandOct(tail_a, groupMasks(tail_a));
-        const __m512i wv = expandOct(tail_w, groupMasks(tail_w));
-        acc = _mm512_dpbusd_epi32(acc, _mm512_xor_si512(av, bias),
-                                  wv);
-        wsum = _mm512_dpbusd_epi32(wsum, ones, wv);
-    }
-    const uint32_t biased = static_cast<uint32_t>(reduceAdd512(acc));
-    const uint32_t col_sum =
-        static_cast<uint32_t>(reduceAdd512(wsum));
-    return static_cast<int32_t>(biased - 128u * col_sum);
-}
 
 } // anonymous namespace
 
-int32_t
-dbbDotRowAvx512(const DbbBlock *a, const DbbBlock *w, int nblocks)
+void
+denseGemmRowsAvx512(const int8_t *a, const int8_t *wt, int k, int n,
+                    int row_begin, int row_end, int32_t *out)
 {
-    // The intersection kernel's probe requires only bw + vbmi; the
-    // faster vpdpbusd contraction is a runtime upgrade on CPUs that
-    // also have avx512vnni (one perfectly-predicted branch per row).
-    static const bool vnni = dbbVnniKernelSupportedImpl();
-    return vnni ? dotRowVnni(a, w, nblocks)
-                : dotRowMadd(a, w, nblocks);
+    blockedGemmRows<Avx512Tile>(a, wt, k, n, row_begin, row_end, out);
 }
 
 bool
 dbbAvx512KernelSupportedImpl()
 {
     return __builtin_cpu_supports("avx512bw") &&
-           __builtin_cpu_supports("avx512vbmi");
-}
-
-int32_t
-dbbDenseDotVnni(const int8_t *a, const int8_t *w, int k)
-{
-    const __m512i bias = _mm512_set1_epi8(
-        static_cast<char>(0x80));
-    const __m512i ones = _mm512_set1_epi8(1);
-    __m512i acc = _mm512_setzero_si512();
-    __m512i wsum = _mm512_setzero_si512();
-    int x = 0;
-    for (; x + 64 <= k; x += 64) {
-        const __m512i av = _mm512_loadu_si512(a + x);
-        const __m512i wv = _mm512_loadu_si512(w + x);
-        acc = _mm512_dpbusd_epi32(acc, _mm512_xor_si512(av, bias),
-                                  wv);
-        wsum = _mm512_dpbusd_epi32(wsum, ones, wv);
-    }
-    if (x < k) {
-        // Masked tail: a zero-filled lane biases to exactly 128 but
-        // meets a zero weight, so both dot products gain nothing.
-        const __mmask64 tail =
-            (~static_cast<uint64_t>(0)) >>
-            (64 - static_cast<unsigned>(k - x));
-        const __m512i av = _mm512_maskz_loadu_epi8(tail, a + x);
-        const __m512i wv = _mm512_maskz_loadu_epi8(tail, w + x);
-        acc = _mm512_dpbusd_epi32(acc, _mm512_xor_si512(av, bias),
-                                  wv);
-        wsum = _mm512_dpbusd_epi32(wsum, ones, wv);
-    }
-    // dp(a + 128, w) - 128 * dp(1, w) == dp(a, w) mod 2^32; do the
-    // correction in unsigned arithmetic so the wrap is well-defined.
-    const uint32_t biased = static_cast<uint32_t>(reduceAdd512(acc));
-    const uint32_t col_sum =
-        static_cast<uint32_t>(reduceAdd512(wsum));
-    return static_cast<int32_t>(biased - 128u * col_sum);
-}
-
-bool
-dbbVnniKernelSupportedImpl()
-{
-    return __builtin_cpu_supports("avx512vnni");
+           __builtin_cpu_supports("avx512vnni");
 }
 
 int64_t
@@ -362,15 +203,18 @@ dbbProfileVectorAvx512(const DbbBlock *blocks, int nblocks,
         // lanes, and subtract into the histogram (x - (-1) == x+1).
         const __m512i bytes =
             _mm512_movm_epi8(static_cast<__mmask64>(km));
+        // The extract immediates must be literals: a loop variable
+        // is a constant only once -O3 unrolls the loop.
+        const __m128i quarter[4] = {
+            _mm512_maskz_extracti32x4_epi32(kAll8, bytes, 0),
+            _mm512_maskz_extracti32x4_epi32(kAll8, bytes, 1),
+            _mm512_maskz_extracti32x4_epi32(kAll8, bytes, 2),
+            _mm512_maskz_extracti32x4_epi32(kAll8, bytes, 3),
+        };
         int32_t *h = hist + g * 64;
         for (int c = 0; c < 4; ++c) {
-            // maskz forms with all-ones masks: same instructions as
-            // the plain variants, but their expansions avoid the
-            // _mm*_undefined_* helpers -Werror=uninitialized rejects.
-            const __m512i wide = _mm512_maskz_cvtepi8_epi32(
-                static_cast<__mmask16>(0xFFFF),
-                _mm512_maskz_extracti32x4_epi32(
-                    static_cast<__mmask8>(0xF), bytes, c));
+            const __m512i wide =
+                _mm512_maskz_cvtepi8_epi32(kAll16, quarter[c]);
             const __m512i cur = _mm512_loadu_si512(h + c * 16);
             _mm512_storeu_si512(h + c * 16,
                                 _mm512_sub_epi32(cur, wide));
@@ -412,31 +256,17 @@ dbbVpopcntKernelSupportedImpl()
 // Built without the x86-64-v4 option (or on a target without
 // AVX-512 codegen): keep the symbols so the dispatcher links, but
 // report every sub-feature unavailable — dbbActiveKernel() then
-// falls through to the AVX2/SSSE3 tiers or the scalar path and
-// these aliases are never called in anger.
-int32_t
-dbbDotRowAvx512(const DbbBlock *a, const DbbBlock *w, int nblocks)
+// falls through to the AVX2 or baseline tier and these aliases are
+// never called in anger.
+void
+denseGemmRowsAvx512(const int8_t *a, const int8_t *wt, int k, int n,
+                    int row_begin, int row_end, int32_t *out)
 {
-    return dbbDotRow(a, w, nblocks);
+    denseGemmRowsBase(a, wt, k, n, row_begin, row_end, out);
 }
 
 bool
 dbbAvx512KernelSupportedImpl()
-{
-    return false;
-}
-
-int32_t
-dbbDenseDotVnni(const int8_t *a, const int8_t *w, int k)
-{
-    int32_t sum = 0;
-    for (int x = 0; x < k; ++x)
-        sum += static_cast<int32_t>(a[x]) * w[x];
-    return sum;
-}
-
-bool
-dbbVnniKernelSupportedImpl()
 {
     return false;
 }

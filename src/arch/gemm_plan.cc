@@ -1,7 +1,10 @@
 #include "arch/gemm_plan.hh"
 
 #include <algorithm>
+#include <memory>
+#include <vector>
 
+#include "arch/gemm_blocked.hh"
 #include "arch/gemm_kernels.hh"
 #include "base/thread_pool.hh"
 
@@ -16,13 +19,6 @@ namespace {
 /** Forced dispatch ceiling; Avx512 (the widest tier) = unclamped. */
 std::atomic<int> kernel_cap{static_cast<int>(DbbKernelKind::Avx512)};
 
-/** Row-dot signature all intersection kernels share. */
-using RowDotFn = int32_t (*)(const DbbBlock *, const DbbBlock *,
-                             int);
-
-/** Dense-dot signature the dense-mirror contraction dispatches. */
-using DenseDotFn = int32_t (*)(const int8_t *, const int8_t *, int);
-
 /** Widest compiled-in tier this CPU supports (cpuid results cannot
  *  change at runtime; memoized). */
 DbbKernelKind
@@ -31,114 +27,183 @@ widestSupportedKernel()
     static const DbbKernelKind kind =
         dbbAvx512KernelSupportedImpl() ? DbbKernelKind::Avx512
         : dbbAvx2KernelSupportedImpl() ? DbbKernelKind::Avx2
-        : dbbSimdKernelSupportedImpl() ? DbbKernelKind::SimdV2
                                        : DbbKernelKind::Scalar;
     return kind;
 }
 
-/**
- * Shared kernel-selection predicate: below ~0.5 matched products
- * per block pair the gather path does less work than the eight
- * always-on SIMD lanes; above it the branch-free contraction wins
- * (the match loop's variable trip count costs more than multiplying
- * the zeros). Used both when deciding to materialize the dense
- * mirror and when dispatching dbbGemm, so the two can't drift.
- */
-bool
-wantsDenseKernel(const OperandProfile &prof, int64_t block_pairs)
-{
-    return 2 * prof.matched_products >= block_pairs;
-}
-
-/**
- * Row-tiled mask-intersection contraction over the compressed
- * encodings for output rows [row_begin, row_end): an activation
- * stripe stays cache-resident while each weight column's blocks
- * stream through once per stripe. @p dot is the dispatched row-dot
- * kernel (scalar rank gathers or the SSSE3 expansion).
- */
-void
-intersectGemmRows(const DbbMatrix &act, const DbbMatrix &wgt, int n,
-                  int row_begin, int row_end, RowDotFn dot,
-                  int32_t *out)
-{
-    const int nb = act.blocksPerVector();
-    constexpr int kRowTile = 64;
-    for (int i0 = row_begin; i0 < row_end; i0 += kRowTile) {
-        const int ilim = std::min(row_end, i0 + kRowTile);
-        for (int j = 0; j < n; ++j) {
-            const DbbBlock *wcol = wgt.vectorBlocks(j);
-            for (int i = i0; i < ilim; ++i) {
-                out[static_cast<size_t>(i) * n + j] =
-                    dot(act.vectorBlocks(i), wcol, nb);
-            }
-        }
-    }
-}
-
 #ifdef __SSE2__
 
-/** Exact INT8 dot product with INT32 accumulation over k elements. */
-int32_t
-denseDot(const int8_t *a, const int8_t *w, int k)
-{
-    const __m128i zero = _mm_setzero_si128();
-    __m128i acc = zero;
-    int x = 0;
-    for (; x + 16 <= k; x += 16) {
-        const __m128i av = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(a + x));
-        const __m128i wv = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(w + x));
-        // Sign-extend each INT8 half into INT16 lanes (bytes enter
-        // the high half of each word, then an arithmetic shift
-        // restores the value with its sign).
-        const __m128i alo =
-            _mm_srai_epi16(_mm_unpacklo_epi8(zero, av), 8);
-        const __m128i ahi =
-            _mm_srai_epi16(_mm_unpackhi_epi8(zero, av), 8);
-        const __m128i wlo =
-            _mm_srai_epi16(_mm_unpacklo_epi8(zero, wv), 8);
-        const __m128i whi =
-            _mm_srai_epi16(_mm_unpackhi_epi8(zero, wv), 8);
-        acc = _mm_add_epi32(acc, _mm_madd_epi16(alo, wlo));
-        acc = _mm_add_epi32(acc, _mm_madd_epi16(ahi, whi));
-    }
-    int32_t sum = 0;
-    for (; x < k; ++x)
-        sum += static_cast<int32_t>(a[x]) * w[x];
-    alignas(16) int32_t lanes[4];
-    _mm_store_si128(reinterpret_cast<__m128i *>(lanes), acc);
-    return sum + lanes[0] + lanes[1] + lanes[2] + lanes[3];
-}
-
 /**
- * Branch-free SIMD contraction over the dense activation rows and
- * the transposed weight mirror, row-tiled like intersectGemmRows,
- * covering output rows [row_begin, row_end). @p ddot is the
- * dispatched dense dot (SSE2 unpack/madd baseline or the VNNI
- * vpdpbusd sub-kernel).
+ * SSE2 micro-kernel of the baseline tier: 3 A rows x 4 W^T columns
+ * per pass. SSE2 has no byte-to-word sign extension, so every
+ * 16-byte chunk is split into its even and odd bytes, each
+ * sign-extended into INT16 lanes (the same split on both operands,
+ * so pmaddwd still pairs a[x] with w[x]). Each chunk is split once:
+ * the panel's W^T rows when the tile is made, a row block's A rows
+ * in setRows. The inner loop is then pmaddwd and paddd only. A
+ * pmaddwd lane sums two INT8 products, at most 2 * 128 * 128, so
+ * nothing saturates and the INT32 accumulators wrap exactly like
+ * the scalar sum.
  */
-void
-denseGemmRows(const GemmProblem &p, const int8_t *wgt_t,
-              int row_begin, int row_end, DenseDotFn ddot,
-              int32_t *out)
+class Sse2Tile
 {
-    constexpr int kRowTile = 64;
-    for (int i0 = row_begin; i0 < row_end; i0 += kRowTile) {
-        const int ilim = std::min(row_end, i0 + kRowTile);
-        for (int j = 0; j < p.n; ++j) {
-            const int8_t *wcol =
-                wgt_t + static_cast<size_t>(j) * p.k;
-            for (int i = i0; i < ilim; ++i) {
-                out[static_cast<size_t>(i) * p.n + j] = ddot(
-                    &p.a[static_cast<size_t>(i) * p.k], wcol, p.k);
+  public:
+    static constexpr int R = 3;
+    static constexpr int C = 4;
+
+    Sse2Tile(const int8_t *panel, int k_, int cols)
+        : k(k_), chunks((k_ + 15) / 16),
+          wsplit(new Half[static_cast<size_t>(cols) * chunks * 2]),
+          asplit(new Half[static_cast<size_t>(R) * chunks * 2])
+    {
+        for (int c = 0; c < cols; ++c)
+            splitRow(panel + static_cast<size_t>(c) * k,
+                     wsplit.get() + static_cast<size_t>(c) * chunks * 2);
+    }
+
+    void
+    setRows(const int8_t *const *rows)
+    {
+        for (int r = 0; r < R; ++r)
+            splitRow(rows[r],
+                     asplit.get() + static_cast<size_t>(r) * chunks * 2);
+    }
+
+    void
+    block(const int *jc, int32_t *out) const
+    {
+        const size_t stride = static_cast<size_t>(chunks) * 2;
+        const Half *wc[C];
+        for (int c = 0; c < C; ++c)
+            wc[c] = wsplit.get() + jc[c] * stride;
+        __m128i acc[R][C];
+        for (auto &row : acc)
+            for (auto &v : row)
+                v = _mm_setzero_si128();
+        for (int x = 0; x < 2 * chunks; x += 2) {
+            for (int c = 0; c < C; ++c) {
+                const __m128i we = wc[c][x].v;
+                const __m128i wo = wc[c][x + 1].v;
+                for (int r = 0; r < R; ++r) {
+                    const Half *ar = asplit.get() + r * stride + x;
+                    acc[r][c] = _mm_add_epi32(
+                        acc[r][c],
+                        _mm_add_epi32(_mm_madd_epi16(ar[0].v, we),
+                                      _mm_madd_epi16(ar[1].v, wo)));
+                }
+            }
+        }
+        // Transpose-add: lane c of row r's result is the horizontal
+        // sum of acc[r][c].
+        for (int r = 0; r < R; ++r) {
+            const __m128i s01 = _mm_add_epi32(
+                _mm_unpacklo_epi32(acc[r][0], acc[r][1]),
+                _mm_unpackhi_epi32(acc[r][0], acc[r][1]));
+            const __m128i s23 = _mm_add_epi32(
+                _mm_unpacklo_epi32(acc[r][2], acc[r][3]),
+                _mm_unpackhi_epi32(acc[r][2], acc[r][3]));
+            _mm_storeu_si128(
+                reinterpret_cast<__m128i *>(out + r * C),
+                _mm_add_epi32(_mm_unpacklo_epi64(s01, s23),
+                              _mm_unpackhi_epi64(s01, s23)));
+        }
+    }
+
+  private:
+    /** One register of split INT16 lanes (wrapped: a vector type as
+     *  a template argument would lose its alignment attribute). */
+    struct Half
+    {
+        __m128i v;
+    };
+
+    /** Split the k bytes at @p p into chunks * 2 halves: even, odd
+     *  per chunk, the last chunk zero-padded. */
+    void
+    splitRow(const int8_t *p, Half *out) const
+    {
+        for (int x = 0; x < chunks; ++x) {
+            __m128i v;
+            if (16 * x + 16 <= k) {
+                v = _mm_loadu_si128(
+                    reinterpret_cast<const __m128i *>(p + 16 * x));
+            } else {
+                alignas(16) int8_t tail[16];
+                padTail<16>(p + 16 * x, k - 16 * x, tail);
+                v = _mm_load_si128(
+                    reinterpret_cast<const __m128i *>(tail));
+            }
+            out[2 * x].v = _mm_srai_epi16(_mm_slli_epi16(v, 8), 8);
+            out[2 * x + 1].v = _mm_srai_epi16(v, 8);
+        }
+    }
+
+    int k;
+    int chunks;
+    std::unique_ptr<Half[]> wsplit; // panel columns x chunks x 2
+    std::unique_ptr<Half[]> asplit; // R rows x chunks x 2
+};
+
+using BaseTile = Sse2Tile;
+
+#else // !__SSE2__
+
+/** Portable micro-kernel of the baseline tier (non-x86 builds). */
+struct PortableTile
+{
+    static constexpr int R = 2;
+    static constexpr int C = 4;
+
+    const int8_t *panel;
+    int k;
+    const int8_t *rows[R] = {};
+
+    PortableTile(const int8_t *panel_, int k_, int)
+        : panel(panel_), k(k_)
+    {}
+
+    void
+    setRows(const int8_t *const *r)
+    {
+        for (int i = 0; i < R; ++i)
+            rows[i] = r[i];
+    }
+
+    void
+    block(const int *jc, int32_t *out) const
+    {
+        for (int r = 0; r < R; ++r) {
+            for (int c = 0; c < C; ++c) {
+                const int8_t *w =
+                    panel + static_cast<size_t>(jc[c]) * k;
+                uint32_t sum = 0; // unsigned: wraps mod 2^32
+                for (int x = 0; x < k; ++x)
+                    sum += static_cast<uint32_t>(rows[r][x] * w[x]);
+                out[r * C + c] = static_cast<int32_t>(sum);
             }
         }
     }
-}
+};
+
+using BaseTile = PortableTile;
 
 #endif // __SSE2__
+
+/** W^T of @p p, written into @p wt (n x k), tiled over columns so
+ *  the writes stay within a few streams. */
+void
+transposeWeights(const GemmProblem &p, int8_t *wt)
+{
+    constexpr int kColTile = 64;
+    for (int j0 = 0; j0 < p.n; j0 += kColTile) {
+        const int jlim = std::min(p.n, j0 + kColTile);
+        for (int kk = 0; kk < p.k; ++kk) {
+            const int8_t *row = &p.w[static_cast<size_t>(kk) * p.n];
+            for (int j = j0; j < jlim; ++j)
+                wt[static_cast<size_t>(j) * p.k + kk] = row[j];
+        }
+    }
+}
 
 /**
  * Run @p rows_fn(row_begin, row_end) over [0, m), split into
@@ -168,12 +233,29 @@ forRowStripes(int m, ThreadPool *pool, const RowsFn &rows_fn)
 
 } // anonymous namespace
 
+void
+denseGemmRowsBase(const int8_t *a, const int8_t *wt, int k, int n,
+                  int row_begin, int row_end, int32_t *out)
+{
+    blockedGemmRows<BaseTile>(a, wt, k, n, row_begin, row_end, out);
+}
+
+DenseGemmRowsFn
+denseGemmRowsFor(DbbKernelKind kind)
+{
+    switch (kind) {
+      case DbbKernelKind::Scalar: return denseGemmRowsBase;
+      case DbbKernelKind::Avx2:   return denseGemmRowsAvx2;
+      case DbbKernelKind::Avx512: return denseGemmRowsAvx512;
+    }
+    s2ta_panic("unknown kernel kind");
+}
+
 const char *
 dbbKernelKindName(DbbKernelKind kind)
 {
     switch (kind) {
       case DbbKernelKind::Scalar: return "scalar";
-      case DbbKernelKind::SimdV2: return "ssse3";
       case DbbKernelKind::Avx2:   return "avx2";
       case DbbKernelKind::Avx512: return "avx512";
     }
@@ -181,11 +263,9 @@ dbbKernelKindName(DbbKernelKind kind)
 }
 
 bool
-dbbSimdKernelAvailable()
+dbbKernelSupported(DbbKernelKind kind)
 {
-    // The probe lives in the v2 TU so the compile-time gate, the
-    // cpuid check, and the kernel all sit under the same flags.
-    return dbbSimdKernelSupportedImpl();
+    return kind <= widestSupportedKernel();
 }
 
 DbbKernelKind
@@ -211,20 +291,6 @@ dbbKernelCap()
         kernel_cap.load(std::memory_order_relaxed));
 }
 
-void
-dbbForceScalarKernel(bool force)
-{
-    dbbForceKernelCap(force ? DbbKernelKind::Scalar
-                            : DbbKernelKind::Avx512);
-}
-
-bool
-dbbVnniDenseEnabled()
-{
-    static const bool supported = dbbVnniKernelSupportedImpl();
-    return supported && dbbKernelCap() >= DbbKernelKind::Avx512;
-}
-
 bool
 dbbProfileSimdEnabled()
 {
@@ -236,36 +302,19 @@ void
 dbbGemm(const GemmPlan &plan, int32_t *out, ThreadPool *shard_pool)
 {
     const GemmProblem &p = plan.problem();
-#ifdef __SSE2__
-    const int64_t block_pairs =
-        static_cast<int64_t>(p.m) * p.n *
-        plan.act().blocksPerVector();
-    if (plan.wgtDenseT() != nullptr &&
-        wantsDenseKernel(plan.profile(), block_pairs)) {
-        // The dense-mirror contraction sub-dispatches to the VNNI
-        // vpdpbusd dot when the AVX-512 tier is active; the SSE2
-        // unpack/madd tree is the baseline. Both wrap mod 2^32, so
-        // outputs are bit-identical either way.
-        const DenseDotFn ddot =
-            dbbVnniDenseEnabled() ? dbbDenseDotVnni : denseDot;
-        forRowStripes(p.m, shard_pool,
-                      [&](int row_begin, int row_end) {
-                          denseGemmRows(p, plan.wgtDenseT(),
-                                        row_begin, row_end, ddot,
-                                        out);
-                      });
-        return;
+    // A plan without the mirror (built events-only, or hydrated from
+    // a mirror-less store image) still computes through the dense
+    // kernel, on a transpose made for this call.
+    std::vector<int8_t> transposed;
+    const int8_t *wt = plan.wgtDenseT();
+    if (wt == nullptr) {
+        transposed.resize(static_cast<size_t>(p.n) * p.k);
+        transposeWeights(p, transposed.data());
+        wt = transposed.data();
     }
-#endif
-    const DbbKernelKind kind = dbbActiveKernel();
-    const RowDotFn dot =
-        kind == DbbKernelKind::Avx512 ? dbbDotRowAvx512
-        : kind == DbbKernelKind::Avx2 ? dbbDotRowAvx2
-        : kind == DbbKernelKind::SimdV2 ? dbbDotRowSimdV2
-                                        : dbbDotRow;
+    const DenseGemmRowsFn rows = denseGemmRowsFor(dbbActiveKernel());
     forRowStripes(p.m, shard_pool, [&](int row_begin, int row_end) {
-        intersectGemmRows(plan.act(), plan.wgt(), p.n, row_begin,
-                          row_end, dot, out);
+        rows(p.a.data(), wt, p.k, p.n, row_begin, row_end, out);
     });
 }
 
@@ -292,32 +341,9 @@ GemmPlan::assemble(const GemmProblem &p, int bz, DbbMatrix act,
     plan.prof = OperandProfile::fromDbb(p, plan.act_blocks,
                                         plan.wgt_blocks);
 
-    // Dense transposed weight mirror for the SIMD contraction,
-    // tiled over columns so writes stay within a few streams. Skip
-    // it whenever dbbGemm cannot pick the SIMD kernel: non-SSE2
-    // builds, and densities where the gather path wins anyway (the
-    // same heuristic dbbGemm applies).
-#ifndef __SSE2__
-    dense_mirror = false;
-#else
-    const int64_t block_pairs = static_cast<int64_t>(p.m) * p.n *
-                                plan.act_blocks.blocksPerVector();
-    dense_mirror =
-        dense_mirror && wantsDenseKernel(plan.prof, block_pairs);
-#endif
     if (dense_mirror) {
         plan.wgt_t.resize(static_cast<size_t>(p.n) * p.k);
-        constexpr int kColTile = 64;
-        for (int j0 = 0; j0 < p.n; j0 += kColTile) {
-            const int jlim = std::min(p.n, j0 + kColTile);
-            for (int kk = 0; kk < p.k; ++kk) {
-                const int8_t *row =
-                    &p.w[static_cast<size_t>(kk) * p.n];
-                for (int j = j0; j < jlim; ++j)
-                    plan.wgt_t[static_cast<size_t>(j) * p.k + kk] =
-                        row[j];
-            }
-        }
+        transposeWeights(p, plan.wgt_t.data());
     }
 
     plan.is_encoded = true;

@@ -9,6 +9,10 @@
  * a popcount test per block. Every architecture model consumes the
  * same plan, so nothing is re-encoded inside simulate() and
  * Accelerator::runLayer reuses one plan across the whole tile grid.
+ * The split is SCNN's: masks are the sparse form the event models
+ * read, and dense bytes are what the arithmetic reads — a plan that
+ * computes outputs also keeps the transposed dense weights, which
+ * dbbGemm contracts against the dense activation rows.
  *
  * A plan borrows the GemmProblem it was built from; the problem must
  * outlive the plan. Plans are immutable after construction apart
@@ -34,99 +38,66 @@ class GemmPlan;
 class ThreadPool;
 
 /**
- * Implementation the mask-intersection kernel dispatches to. The
- * SSSE3 (x86-64-v2) variant expands both compressed blocks to dense
- * lanes with one pshufb each (the shuffle control is the positional
- * mask's expansion permutation, looked up in a 256-entry table) and
- * contracts them with the same madd tree as the dense kernel; the
- * AVX2 tier widens the same scheme to four blocks per operand per
- * 256-bit shuffle; the AVX-512 tier (x86-64-v4) expands eight
- * blocks per masked-zeroing vpermi2b and carries the VNNI dense-dot
- * and VPOPCNTDQ profile sub-kernels. Every tier is bit-identical to
- * the scalar rank-gather loop (skipped positions contribute exact
- * zeros and INT32 wraparound addition is order-independent).
+ * Tier of the dense INT8 GEMM that dbbGemm dispatches to. Every tier
+ * runs the same register-blocked contraction of dense A against the
+ * plan's W^T mirror and is bit-identical to gemmReference (products
+ * are exact; INT32 wraparound addition is order-independent); they
+ * differ only in the ISA of the micro-kernel.
  */
 enum class DbbKernelKind
 {
-    /** Portable rank-gather loop (dbbDotRow). */
+    /** The build's baseline ISA: SSE2 pmaddwd blocks on x86-64,
+     *  portable loops elsewhere. Always available. */
     Scalar,
-    /** pshufb mask-expansion + madd contraction (SSSE3). */
-    SimdV2,
-    /** 256-bit vpshufb expansion, four blocks per shuffle (AVX2). */
+    /** vpmovsxbw + vpmaddwd blocks (AVX2, the x86-64-v2 build). */
     Avx2,
-    /** 512-bit masked vpermi2b expansion, eight blocks per permute
-     *  (AVX512BW+VBMI), with VNNI/VPOPCNTDQ sub-dispatch. */
+    /** VNNI vpdpbusd blocks (AVX512BW+VNNI, the x86-64-v4 build),
+     *  with the VPOPCNTDQ profile derivation as a sub-feature. */
     Avx512,
 };
 
-/** Canonical lower-case tier name ("scalar", "ssse3", "avx2",
- *  "avx512") — the value bench JSON records as simd_kernel. */
+/** Canonical lower-case tier name ("scalar", "avx2", "avx512") —
+ *  the value bench JSON records as simd_kernel. */
 const char *dbbKernelKindName(DbbKernelKind kind);
 
-/**
- * True when the SSSE3 kernel was compiled in (S2TA_ENABLE_X86_64_V2)
- * and this CPU supports it; the dispatcher falls back to the scalar
- * kernel otherwise. The wider tiers are probed separately and
- * preferred when present.
- */
-bool dbbSimdKernelAvailable();
+/** True when tier @p kind is compiled in and this CPU supports it. */
+bool dbbKernelSupported(DbbKernelKind kind);
 
-/** The kernel dbbGemm's intersection path will actually use: the
- *  widest compiled-in tier this CPU supports, clamped to the forced
- *  cap (dbbForceKernelCap). */
+/** The tier dbbGemm will actually use: the widest compiled-in tier
+ *  this CPU supports, clamped to the forced cap (dbbForceKernelCap). */
 DbbKernelKind dbbActiveKernel();
 
 /**
  * Clamp runtime dispatch to at most @p cap (Avx512, the default,
  * means no clamp — dispatch picks the widest supported tier). The
- * cap pins *every* SIMD decision, not just the intersection row
- * dot: capping below Avx512 also disables the VNNI dense-mirror dot
- * and the VPOPCNTDQ profile derivation, so e.g. a forced "avx2"
- * run executes zero AVX-512 instructions anywhere. Used by the
- * --simd bench flag and by the tier-equivalence tests; thread-safe.
+ * cap pins *every* SIMD decision: capping below Avx512 also disables
+ * the VPOPCNTDQ profile derivation, so e.g. a forced "avx2" run
+ * executes zero AVX-512 instructions anywhere. Used by the --simd
+ * bench flag and by the tier-equivalence tests; thread-safe.
  */
 void dbbForceKernelCap(DbbKernelKind cap);
 
 /** The currently forced cap (Avx512 = unclamped). */
 DbbKernelKind dbbKernelCap();
 
-/**
- * Test hook: pin the intersection kernel to the scalar
- * implementation even when the SIMD one is available (for
- * equivalence tests that compare both in one process). Equivalent
- * to dbbForceKernelCap(Scalar) / (Avx512). Not for production use;
- * thread-safe.
- */
-void dbbForceScalarKernel(bool force);
-
-/** True when dbbGemm's dense-mirror path will use the VNNI
- *  vpdpbusd dot (compiled in, CPU support, cap not below Avx512). */
-bool dbbVnniDenseEnabled();
-
 /** True when OperandProfile::fromDbb may use the AVX-512 VPOPCNTDQ
  *  derivation (compiled in, CPU support, cap not below Avx512). */
 bool dbbProfileSimdEnabled();
 
 /**
- * DBB-native functional GEMM over a plan's caches. Two exact
- * kernels, chosen by the plan's measured density:
+ * Functional GEMM of a plan: one dense INT8 contraction of the
+ * activation rows against the plan's transposed weight mirror, in
+ * register blocks (several A rows x several W^T columns per pass,
+ * each loaded chunk widened once). The masks never steer the
+ * arithmetic: they feed the event models, which is where the DBB
+ * datapath (DP4M8 steering, activation muxing) is simulated; the
+ * host computes the same exact INT32 result faster by multiplying
+ * the zeros than by gathering around them. A plan without the
+ * mirror gets a transpose made for the call. The result is
+ * bit-identical to gemmReference. Writes the row-major m x n result.
  *
- *  - mask-intersection gathers (dbbDotRow) over the compressed
- *    encodings, O(matched nnz) per block — wins at the very sparse
- *    operating points and is the portable fallback;
- *  - a branch-free SIMD contraction over the dense activation rows
- *    and the plan's transposed weight mirror — at DBB densities of
- *    2/8 and up, eight always-on MAC lanes beat per-match gathers
- *    the same way the paper's DP4M8 beats index-chasing designs.
- *
- * Both are row-tiled so one weight column's data is reused across a
- * stripe of activation rows, and both produce results bit-identical
- * to gemmReference (terms skipped by a mask are exactly zero; INT32
- * accumulation is order-independent). Writes the row-major m x n
- * result.
- *
- * When @p shard_pool is non-null the output tile grid is split into
- * row stripes dispatched across the pool's lanes; stripes write
+ * When @p shard_pool is non-null the output is split into row
+ * stripes dispatched across the pool's lanes; stripes write
  * disjoint output rows with unchanged per-element arithmetic, so the
  * result is bitwise identical to the serial run at every thread
  * count (this is how a single big GEMM stays parallel when the
@@ -143,8 +114,8 @@ class GemmPlan
      * non-zeros kept) and derive the mask-based profile. @p bz is
      * the block size; K need not be a multiple (tail blocks are
      * zero-padded losslessly). @p dense_mirror additionally caches
-     * the transposed dense weights for dbbGemm's SIMD contraction;
-     * skip it for events-only runs that never compute an output.
+     * the transposed dense weights dbbGemm contracts against; skip
+     * it for events-only runs that never compute an output.
      */
     static GemmPlan build(const GemmProblem &p, int bz = 8,
                           bool dense_mirror = true);
@@ -180,9 +151,9 @@ class GemmPlan
      * Reassemble a plan from its encodings alone (the spill tier's
      * rehydration path, which persists only the compressed blocks).
      * The profile is re-derived from the masks and the dense mirror
-     * re-materialized under the same density heuristic as build(),
-     * so the result is indistinguishable from a fresh build of the
-     * same operands. @p dense_mirror is the original build request.
+     * re-materialized when @p dense_mirror (the original build
+     * request) asks for it, so the result is indistinguishable from
+     * a fresh build of the same operands.
      */
     static GemmPlan rebuild(const GemmProblem &p, int bz,
                             DbbMatrix act, DbbMatrix wgt,
@@ -218,8 +189,8 @@ class GemmPlan
 
     /**
      * Dense transposed weight mirror: row j holds the K elements of
-     * weight column j contiguously, feeding the SIMD contraction of
-     * dbbGemm. Null when the plan was built without it.
+     * weight column j contiguously, feeding dbbGemm's contraction.
+     * Null when the plan was built without it.
      */
     const int8_t *
     wgtDenseT() const
@@ -288,8 +259,8 @@ class GemmPlan
     /**
      * Shared tail of build()/rebuild(): adopt the encodings, derive
      * the profile from the masks, and materialize the dense mirror
-     * under the density heuristic. One implementation so a
-     * rehydrated plan can never drift from a fresh build.
+     * when requested. One implementation so a rehydrated plan can
+     * never drift from a fresh build.
      */
     static GemmPlan assemble(const GemmProblem &p, int bz,
                              DbbMatrix act, DbbMatrix wgt,

@@ -216,8 +216,8 @@ std::vector<uint8_t> spillEncode(const CachedPlan &entry);
 /**
  * Rebuild a full entry from a spill-form image: operands are
  * reconstructed from the lossless encodings, the profile re-derived
- * from the masks, and the dense mirror re-materialized under
- * build()'s heuristic — bit-identical to the entry that was
+ * from the masks, and the dense mirror re-materialized when the
+ * entry was built with one — bit-identical to the entry that was
  * spilled. Fatal on a malformed image (spill bytes never leave the
  * process; corruption here is a program bug, not an input).
  */

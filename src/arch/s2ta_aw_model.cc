@@ -92,9 +92,8 @@ S2taAwModel::simulate(const GemmPlan &plan, const RunOptions &opt,
     if (!scalar) {
         // DBB-native fast path: serializing the stored activations
         // and muxing against the weight mask computes exactly the
-        // products at intersecting mask positions, so the datapath
-        // result is the mask-intersection dot product of the cached
-        // encodings.
+        // products at intersecting mask positions; every other
+        // product is zero, so the dense GEMM gives the same result.
         dbbGemm(plan, out.output.data(), opt.shard_pool);
         return;
     }

@@ -100,9 +100,8 @@ S2taWModel::simulate(const GemmPlan &plan, const RunOptions &opt,
     out.output.assign(static_cast<size_t>(p.m) * p.n, 0);
     if (!scalar) {
         // DBB-native fast path: the mux steering selects exactly the
-        // activations at the weight mask's positions, and zero
-        // activations contribute nothing, so the datapath result is
-        // the mask-intersection dot product of the cached encodings.
+        // activations at the weight mask's positions; the skipped
+        // products are zero, so the dense GEMM gives the same result.
         dbbGemm(plan, out.output.data(), opt.shard_pool);
         return;
     }

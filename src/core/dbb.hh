@@ -81,44 +81,6 @@ struct DbbBlock
 };
 
 /**
- * Mask-intersection dot product of one block pair: the DBB-native
- * fast path. A single AND of the two positional masks yields the
- * matched positions; each match gathers its stored values by rank.
- * Work is O(popcount(a.mask & w.mask)), not O(bz), and the INT32 sum
- * is bit-identical to the dense product of the expanded blocks
- * (skipped terms are exactly zero).
- */
-inline int32_t
-dbbDotBlocks(const DbbBlock &a, const DbbBlock &w)
-{
-    int32_t acc = 0;
-    for (Mask8 inter = maskAnd(a.mask, w.mask); inter;
-         inter = maskClearLowest(inter)) {
-        const int pos = maskLowestSetBit(inter);
-        acc += static_cast<int32_t>(
-                   a.values[static_cast<size_t>(
-                       maskRankUnchecked(a.mask, pos))]) *
-               static_cast<int32_t>(
-                   w.values[static_cast<size_t>(
-                       maskRankUnchecked(w.mask, pos))]);
-    }
-    return acc;
-}
-
-/**
- * Mask-intersection dot product over @p nblocks consecutive block
- * pairs (one activation row against one weight column).
- */
-inline int32_t
-dbbDotRow(const DbbBlock *a, const DbbBlock *w, int nblocks)
-{
-    int32_t acc = 0;
-    for (int b = 0; b < nblocks; ++b)
-        acc += dbbDotBlocks(a[b], w[b]);
-    return acc;
-}
-
-/**
  * Encode a dense block into DBB form.
  *
  * The block must already satisfy the density bound (apply a pruner
@@ -199,7 +161,8 @@ class DbbMatrix
 
     /**
      * Unchecked pointer to the blocks of vector @p v, for the hot
-     * kernels (dbbDotRow et al.).
+     * loops (profile derivation, the SMT sampler, the plan
+     * codecs).
      */
     const DbbBlock *
     vectorBlocks(int v) const

@@ -16,8 +16,12 @@ gemmReference(const GemmProblem &p)
             if (av == 0)
                 continue;
             const int8_t *wrow = &p.w[static_cast<size_t>(kk) * p.n];
+            // Unsigned adds: INT32 wraparound, without the undefined
+            // behaviour of a signed overflow.
             for (int j = 0; j < p.n; ++j)
-                crow[j] += av * wrow[j];
+                crow[j] = static_cast<int32_t>(
+                    static_cast<uint32_t>(crow[j]) +
+                    static_cast<uint32_t>(av * wrow[j]));
         }
     }
     return c;

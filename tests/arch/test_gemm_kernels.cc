@@ -1,22 +1,24 @@
-/** @file Property tests for the SIMD tiers of the mask-intersection
- *  row-dot kernel: across random masks (including all-zero runs and
- *  fully dense blocks), random stored values, and every row length
- *  around the tiers' batch widths, each compiled-in tier must match
- *  the scalar rank-gather loop bit for bit. Tiers the running CPU
- *  lacks fall back to the scalar alias and pass trivially. The same
- *  contract covers the AVX-512 sub-kernels (VNNI dense dot,
- *  VPOPCNTDQ profile derivation) and the forced-cap dispatcher used
- *  by the benches' --simd flag.
+/** @file Property tests for the tiers of the dense INT8 GEMM: every
+ *  compiled-in tier this CPU supports must match gemmReference and
+ *  the scalar engine bit for bit, across K values around every
+ *  tier's chunk width (16 and 64 bytes) and its K tail, ragged
+ *  m and n around the register-block shapes, full-range INT8 values
+ *  including the all -128 corner that wraps INT32, and any shard
+ *  lane count. Tiers the build or CPU lacks are skipped. The same
+ *  file covers the AVX-512 VPOPCNTDQ profile sub-kernel and the
+ *  forced-cap dispatcher used by the benches' --simd flag.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "arch/array_model.hh"
 #include "arch/gemm_kernels.hh"
 #include "arch/gemm_plan.hh"
 #include "base/random.hh"
+#include "base/thread_pool.hh"
 #include "core/dbb.hh"
 #include "tensor/conv.hh"
 #include "workload/sparse_gen.hh"
@@ -24,145 +26,126 @@
 namespace s2ta {
 namespace {
 
-/** Random valid DBB block: random mask, values in the stored slots
- *  (non-zero, as dbbEncode would produce), zeros beyond them. */
-DbbBlock
-randomBlock(Rng &rng, double zero_mask_prob)
+constexpr DbbKernelKind kTiers[] = {
+    DbbKernelKind::Scalar, DbbKernelKind::Avx2, DbbKernelKind::Avx512};
+
+/** Dense GEMM with every INT8 value equally likely (zeros too). */
+GemmProblem
+fullRangeGemm(int m, int k, int n, Rng &rng)
 {
-    DbbBlock b;
-    if (rng.uniformReal() < zero_mask_prob)
-        return b; // all-zero block, the RLE/expansion edge case
-    b.mask = static_cast<Mask8>(rng.uniformInt(1, 255));
-    const int stored = maskPopcount(b.mask);
-    for (int s = 0; s < stored; ++s) {
-        int8_t v = 0;
-        while (v == 0)
-            v = static_cast<int8_t>(rng.uniformInt(-128, 127));
-        b.values[static_cast<size_t>(s)] = v;
-    }
-    return b;
+    GemmProblem p(m, k, n);
+    for (auto &v : p.a)
+        v = static_cast<int8_t>(rng.uniformInt(-128, 127));
+    for (auto &v : p.w)
+        v = static_cast<int8_t>(rng.uniformInt(-128, 127));
+    return p;
 }
 
-std::vector<DbbBlock>
-randomRow(Rng &rng, int nblocks, double zero_mask_prob)
+/** Tier @p kind's output over all rows, straight from its entry
+ *  point (no dispatcher, no stripes). */
+std::vector<int32_t>
+runTier(DbbKernelKind kind, const GemmProblem &p, const GemmPlan &plan)
 {
-    std::vector<DbbBlock> row(static_cast<size_t>(nblocks));
-    for (auto &b : row)
-        b = randomBlock(rng, zero_mask_prob);
-    return row;
+    std::vector<int32_t> out(static_cast<size_t>(p.m) * p.n, -1);
+    denseGemmRowsFor(kind)(p.a.data(), plan.wgtDenseT(), p.k, p.n, 0,
+                           p.m, out.data());
+    return out;
 }
 
-TEST(GemmKernels, SimdTiersMatchScalarRowDot)
+TEST(GemmKernels, DenseTiersMatchReference)
 {
     Rng rng(0xA2C2);
-    // Row lengths around every batch width (SSSE3 pairs, AVX2
-    // quads, AVX-512 octets) including the empty row and every
-    // tail length.
-    for (const int nblocks :
-         {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 33, 64}) {
-        for (const double zp : {0.0, 0.3, 0.9}) {
-            for (int trial = 0; trial < 8; ++trial) {
-                const auto a = randomRow(rng, nblocks, zp);
-                const auto w = randomRow(rng, nblocks, zp);
-                const int32_t want =
-                    dbbDotRow(a.data(), w.data(), nblocks);
-                if (dbbSimdKernelSupportedImpl()) {
-                    EXPECT_EQ(dbbDotRowSimdV2(a.data(), w.data(),
-                                              nblocks),
-                              want)
-                        << "ssse3, nblocks " << nblocks;
-                }
-                if (dbbAvx2KernelSupportedImpl()) {
-                    EXPECT_EQ(dbbDotRowAvx2(a.data(), w.data(),
-                                            nblocks),
-                              want)
-                        << "avx2, nblocks " << nblocks;
-                }
-                if (dbbAvx512KernelSupportedImpl()) {
-                    EXPECT_EQ(dbbDotRowAvx512(a.data(), w.data(),
-                                              nblocks),
-                              want)
-                        << "avx512, nblocks " << nblocks;
-                }
+    // K around the 16-byte (baseline, AVX2) and 64-byte (AVX-512)
+    // chunks plus a deep 3x3x512 conv; m below, at and above every
+    // row block (2 and 4) and odd; n off every 4-column block and
+    // across the 64-column panel.
+    const int ks[] = {1, 15, 16, 17, 27, 31, 63, 64, 65, 4608};
+    const int shapes[][2] = {{1, 1}, {2, 3}, {3, 5}, {5, 7},
+                             {7, 66}, {9, 130}};
+    for (const DbbKernelKind kind : kTiers) {
+        if (!dbbKernelSupported(kind))
+            continue;
+        for (const int k : ks) {
+            for (const auto &mn : shapes) {
+                const GemmProblem p =
+                    fullRangeGemm(mn[0], k, mn[1], rng);
+                const GemmPlan plan = GemmPlan::build(p);
+                EXPECT_EQ(runTier(kind, p, plan), gemmReference(p))
+                    << dbbKernelKindName(kind) << " m=" << p.m
+                    << " k=" << k << " n=" << p.n;
             }
         }
     }
 }
 
-TEST(GemmKernels, ExtremeValuesDoNotDiverge)
+TEST(GemmKernels, DenseTiersWrapLikeInt32)
 {
-    // INT8 extremes exercise the sign-extension paths: (-128)^2
-    // sums must agree across every tier.
-    for (const int nblocks : {1, 3, 4, 5, 8, 9, 16}) {
-        std::vector<DbbBlock> a(static_cast<size_t>(nblocks));
-        std::vector<DbbBlock> w(static_cast<size_t>(nblocks));
-        for (int i = 0; i < nblocks; ++i) {
-            a[static_cast<size_t>(i)].mask = 0xff;
-            w[static_cast<size_t>(i)].mask = 0xff;
-            for (int s = 0; s < 8; ++s) {
-                a[static_cast<size_t>(i)]
-                    .values[static_cast<size_t>(s)] =
-                    (s % 2 == 0) ? int8_t{-128} : int8_t{127};
-                w[static_cast<size_t>(i)]
-                    .values[static_cast<size_t>(s)] =
-                    (s % 3 == 0) ? int8_t{-128} : int8_t{-1};
-            }
-        }
-        const int32_t want = dbbDotRow(a.data(), w.data(), nblocks);
-        if (dbbSimdKernelSupportedImpl()) {
-            EXPECT_EQ(dbbDotRowSimdV2(a.data(), w.data(), nblocks),
-                      want);
-        }
-        if (dbbAvx2KernelSupportedImpl()) {
-            EXPECT_EQ(dbbDotRowAvx2(a.data(), w.data(), nblocks),
-                      want);
-        }
-        if (dbbAvx512KernelSupportedImpl()) {
-            EXPECT_EQ(dbbDotRowAvx512(a.data(), w.data(), nblocks),
-                      want);
-        }
+    // All -128 operands: every product is 2^14, so K = 140000 sums
+    // past 2^31 and must wrap exactly as INT32 addition does.
+    const int k = 140000;
+    GemmProblem p(3, k, 5);
+    std::fill(p.a.begin(), p.a.end(), int8_t{-128});
+    std::fill(p.w.begin(), p.w.end(), int8_t{-128});
+    const auto want = static_cast<int32_t>(16384u * 140000u);
+    ASSERT_LT(want, 0) << "the sum must actually wrap";
+    const std::vector<int32_t> ref(static_cast<size_t>(p.m) * p.n,
+                                   want);
+    EXPECT_EQ(gemmReference(p), ref);
+    const GemmPlan plan = GemmPlan::build(p);
+    for (const DbbKernelKind kind : kTiers) {
+        if (!dbbKernelSupported(kind))
+            continue;
+        EXPECT_EQ(runTier(kind, p, plan), ref)
+            << dbbKernelKindName(kind);
     }
 }
 
-/** Scalar reference for the VNNI dense dot (the SSE2 denseDot in
- *  gemm_plan.cc is file-static, so the test carries its own). */
-int32_t
-denseDotRef(const int8_t *a, const int8_t *w, int k)
+TEST(GemmKernels, EveryTierMatchesTheScalarEngine)
 {
-    int32_t sum = 0;
-    for (int x = 0; x < k; ++x)
-        sum += static_cast<int32_t>(a[x]) * w[x];
-    return sum;
+    // The functional path end to end: an S2TA-AW model run at each
+    // forced tier against the per-element scalar engine.
+    Rng rng(0xE6);
+    const GemmProblem p = makeDbbGemm(301, 512, 42, 2, 2, rng);
+    const auto model = makeArrayModel(ArrayConfig::s2taAw(2));
+    RunOptions opt;
+    opt.compute_output = true;
+    RunOptions scalar = opt;
+    scalar.engine = EngineKind::Scalar;
+    const GemmRun want = model->run(p, scalar);
+    for (const DbbKernelKind kind : kTiers) {
+        if (!dbbKernelSupported(kind))
+            continue;
+        dbbForceKernelCap(kind);
+        EXPECT_EQ(dbbActiveKernel(), kind);
+        const GemmRun got = model->run(p, opt);
+        EXPECT_EQ(got.output, want.output) << dbbKernelKindName(kind);
+        EXPECT_TRUE(got.events == want.events)
+            << dbbKernelKindName(kind);
+    }
+    dbbForceKernelCap(DbbKernelKind::Avx512);
 }
 
-TEST(GemmKernels, VnniDenseDotMatchesScalar)
+TEST(GemmKernels, ShardLaneCountDoesNotChangeTheResult)
 {
-    if (!dbbVnniKernelSupportedImpl())
-        GTEST_SKIP() << "no AVX512-VNNI on this host/build";
-    Rng rng(0x51DD);
-    // Lengths around the 64-byte batch width, incl. masked tails.
-    for (const int k : {0, 1, 7, 63, 64, 65, 127, 128, 200, 1152}) {
-        for (int trial = 0; trial < 8; ++trial) {
-            std::vector<int8_t> a(static_cast<size_t>(k));
-            std::vector<int8_t> w(static_cast<size_t>(k));
-            for (int x = 0; x < k; ++x) {
-                a[static_cast<size_t>(x)] = static_cast<int8_t>(
-                    rng.uniformInt(-128, 127));
-                w[static_cast<size_t>(x)] = static_cast<int8_t>(
-                    rng.uniformInt(-128, 127));
-            }
-            EXPECT_EQ(dbbDenseDotVnni(a.data(), w.data(), k),
-                      denseDotRef(a.data(), w.data(), k))
-                << "k " << k;
+    // m > 256 so dbbGemm splits the rows into several stripes; odd
+    // m and n leave a ragged block in the last stripe.
+    Rng rng(0x5A4D);
+    const GemmProblem p = fullRangeGemm(777, 200, 37, rng);
+    const GemmPlan plan = GemmPlan::build(p);
+    const std::vector<int32_t> ref = gemmReference(p);
+    for (const DbbKernelKind kind : kTiers) {
+        if (!dbbKernelSupported(kind))
+            continue;
+        dbbForceKernelCap(kind);
+        for (const int lanes : {1, 2, 8}) {
+            ThreadPool pool(lanes);
+            std::vector<int32_t> out(ref.size(), -1);
+            dbbGemm(plan, out.data(), &pool);
+            EXPECT_EQ(out, ref)
+                << dbbKernelKindName(kind) << " lanes=" << lanes;
         }
     }
-    // The xor-0x80 bias correction at both INT8 extremes.
-    std::vector<int8_t> a(96, int8_t{-128});
-    std::vector<int8_t> w(96, int8_t{-128});
-    for (size_t x = 0; x < a.size(); x += 2)
-        w[x] = 127;
-    EXPECT_EQ(dbbDenseDotVnni(a.data(), w.data(), 96),
-              denseDotRef(a.data(), w.data(), 96));
+    dbbForceKernelCap(DbbKernelKind::Avx512);
 }
 
 void
@@ -242,15 +225,14 @@ TEST(GemmKernels, ProfileDerivationMatchesScalarOnConvCorpus)
 
 TEST(GemmKernels, DispatcherPrefersWidestTier)
 {
-    dbbForceScalarKernel(true);
+    dbbForceKernelCap(DbbKernelKind::Scalar);
     EXPECT_EQ(dbbActiveKernel(), DbbKernelKind::Scalar);
-    dbbForceScalarKernel(false);
-    if (dbbAvx512KernelSupportedImpl())
+    dbbForceKernelCap(DbbKernelKind::Avx512);
+    EXPECT_TRUE(dbbKernelSupported(DbbKernelKind::Scalar));
+    if (dbbKernelSupported(DbbKernelKind::Avx512))
         EXPECT_EQ(dbbActiveKernel(), DbbKernelKind::Avx512);
-    else if (dbbAvx2KernelSupportedImpl())
+    else if (dbbKernelSupported(DbbKernelKind::Avx2))
         EXPECT_EQ(dbbActiveKernel(), DbbKernelKind::Avx2);
-    else if (dbbSimdKernelAvailable())
-        EXPECT_EQ(dbbActiveKernel(), DbbKernelKind::SimdV2);
     else
         EXPECT_EQ(dbbActiveKernel(), DbbKernelKind::Scalar);
 }
@@ -259,30 +241,25 @@ TEST(GemmKernels, ForcedCapClampsEveryTier)
 {
     // The --simd flag's mechanism: a cap below the widest supported
     // tier must win, a cap above it must fall back to the widest,
-    // and any cap below Avx512 must switch the VNNI dense dot and
-    // the SIMD profile derivation off (a forced "avx2" run may not
-    // execute a single AVX-512 instruction).
+    // and any cap below Avx512 must switch the SIMD profile
+    // derivation off (a forced "avx2" run may not execute a single
+    // AVX-512 instruction).
     const DbbKernelKind widest = [] {
         dbbForceKernelCap(DbbKernelKind::Avx512);
         return dbbActiveKernel();
     }();
-    for (const DbbKernelKind cap :
-         {DbbKernelKind::Scalar, DbbKernelKind::SimdV2,
-          DbbKernelKind::Avx2, DbbKernelKind::Avx512}) {
+    for (const DbbKernelKind cap : kTiers) {
         dbbForceKernelCap(cap);
         EXPECT_EQ(dbbKernelCap(), cap);
         const DbbKernelKind want = cap < widest ? cap : widest;
         EXPECT_EQ(dbbActiveKernel(), want)
             << "cap " << dbbKernelKindName(cap);
         if (cap < DbbKernelKind::Avx512) {
-            EXPECT_FALSE(dbbVnniDenseEnabled())
-                << dbbKernelKindName(cap);
             EXPECT_FALSE(dbbProfileSimdEnabled())
                 << dbbKernelKindName(cap);
         }
     }
     dbbForceKernelCap(DbbKernelKind::Avx512); // restore auto
-    EXPECT_EQ(dbbVnniDenseEnabled(), dbbVnniKernelSupportedImpl());
     EXPECT_EQ(dbbProfileSimdEnabled(),
               dbbVpopcntKernelSupportedImpl());
 }
@@ -292,7 +269,6 @@ TEST(GemmKernels, KernelKindNamesAreStable)
     // Bench JSON contract: these strings appear as "simd_kernel"
     // values and CI asserts on them verbatim.
     EXPECT_STREQ(dbbKernelKindName(DbbKernelKind::Scalar), "scalar");
-    EXPECT_STREQ(dbbKernelKindName(DbbKernelKind::SimdV2), "ssse3");
     EXPECT_STREQ(dbbKernelKindName(DbbKernelKind::Avx2), "avx2");
     EXPECT_STREQ(dbbKernelKindName(DbbKernelKind::Avx512), "avx512");
 }

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "arch/gemm_plan.hh"
+#include "arch/plan_cache.hh"
+#include "arch/plan_store.hh"
 #include "core/weight_pruner.hh"
 #include "workload/sparse_gen.hh"
 
@@ -57,39 +61,56 @@ TEST(GemmPlan, TailBlocksEncodeLosslessly)
             EXPECT_EQ(plan.wgtNonZero(kk, j), p.wgtAt(kk, j) != 0);
 }
 
-#ifdef __SSE2__
-TEST(GemmPlan, DenseMirrorIsTheTransposedWeights)
+TEST(GemmPlan, DenseMirrorIsBuiltWheneverRequested)
 {
+    // The mirror does not depend on density: at 1/8 x 1/8 as at 8/8,
+    // a plan built for outputs carries the exact transpose.
     Rng rng(0xA3);
-    // 4/8 x 4/8 clears the density bar for the SIMD kernel, so the
-    // mirror is materialized.
-    const GemmProblem p = makeDbbGemm(6, 40, 9, 4, 4, rng);
-    const GemmPlan plan = GemmPlan::build(p);
-    const int8_t *wt = plan.wgtDenseT();
-    ASSERT_NE(wt, nullptr);
-    for (int j = 0; j < p.n; ++j)
-        for (int kk = 0; kk < p.k; ++kk)
-            EXPECT_EQ(wt[static_cast<size_t>(j) * p.k + kk],
-                      p.wgtAt(kk, j));
+    for (const int nnz : {1, 4, 8}) {
+        const GemmProblem p = makeDbbGemm(6, 40, 9, nnz, nnz, rng);
+        const GemmPlan plan = GemmPlan::build(p);
+        const int8_t *wt = plan.wgtDenseT();
+        ASSERT_NE(wt, nullptr) << "nnz " << nnz;
+        for (int j = 0; j < p.n; ++j)
+            for (int kk = 0; kk < p.k; ++kk)
+                EXPECT_EQ(wt[static_cast<size_t>(j) * p.k + kk],
+                          p.wgtAt(kk, j));
+        EXPECT_EQ(GemmPlan::build(p, 8, /*dense_mirror=*/false)
+                      .wgtDenseT(),
+                  nullptr);
+    }
 }
-#endif
 
-TEST(GemmPlan, SparsePlansSkipTheDenseMirror)
+TEST(GemmPlan, PlansWithoutTheMirrorStillComputeOutputs)
 {
     Rng rng(0xA9);
-    const GemmProblem p = makeDbbGemm(6, 40, 9, 1, 1, rng);
-    const GemmPlan plan = GemmPlan::build(p);
-    EXPECT_EQ(plan.wgtDenseT(), nullptr);
-    std::vector<int32_t> out(static_cast<size_t>(p.m) * p.n);
-    dbbGemm(plan, out.data());
-    EXPECT_EQ(out, gemmReference(p));
+    const GemmProblem p = makeDbbGemm(37, 40, 9, 1, 2, rng);
+    const auto ref = gemmReference(p);
+
+    // Built events-only, then reused for an output.
+    const GemmPlan events_only = GemmPlan::build(p, 8, false);
+    ASSERT_EQ(events_only.wgtDenseT(), nullptr);
+    std::vector<int32_t> out(ref.size(), -1);
+    dbbGemm(events_only, out.data());
+    EXPECT_EQ(out, ref);
+
+    // Hydrated from a store image serialized without the mirror.
+    const CachedPlan entry(p, 8, /*dense_mirror=*/false);
+    const uint64_t key = PlanCache::fingerprint(entry.problem);
+    const auto image = PlanStore::serialize(key, entry);
+    const auto back =
+        PlanStore::deserialize(image.data(), image.size(), key);
+    ASSERT_NE(back, nullptr);
+    ASSERT_EQ(back->plan.wgtDenseT(), nullptr);
+    std::fill(out.begin(), out.end(), -1);
+    dbbGemm(back->plan, out.data());
+    EXPECT_EQ(out, ref);
 }
 
 TEST(GemmPlan, DbbGemmMatchesReferenceAcrossDensities)
 {
     Rng rng(0xA4);
-    // Sweep density so both kernel selections (mask-intersection
-    // gather and SIMD contraction) are exercised.
+    // Sweep density from 1/8 to dense on both operands.
     for (int wgt_nnz : {1, 4, 8}) {
         for (int act_nnz : {1, 4, 8}) {
             const GemmProblem p =

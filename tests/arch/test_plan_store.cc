@@ -133,9 +133,9 @@ TEST(PlanStore, EntryRoundtripIsExact)
 
 TEST(PlanStore, SpillRoundtripIsExact)
 {
-    // Both operating points: sparse (no mirror materialized) and
-    // dense (mirror materialized, then dropped by the codec and
-    // re-derived on rehydration).
+    // Both operating points, sparse and dense; the mirror is
+    // materialized at both, dropped by the codec and re-derived on
+    // rehydration.
     for (const int nnz : {2, 8}) {
         const GemmProblem p = smallGemm(0x52, 40, 72, 24, nnz);
         const CachedPlan entry(p, 8, true);

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "arch/accelerator.hh"
-#include "arch/gemm_kernels.hh"
 #include "arch/gemm_plan.hh"
 #include "arch/models.hh"
 #include "base/thread_pool.hh"
@@ -166,8 +165,7 @@ TEST(EngineEquivalence, GroupedAndDepthwiseLayers)
 TEST(EngineEquivalence, TileStripeShardingIsBitwiseIdentical)
 {
     // m > 256 so the output grid splits into several row stripes;
-    // sweep sparsity so both the intersection and the dense-mirror
-    // kernels run sharded.
+    // sweep sparsity from 1/8 to dense.
     Rng rng(0xE5);
     for (int nnz : {1, 4, 8}) {
         const GemmProblem p =
@@ -191,38 +189,6 @@ TEST(EngineEquivalence, TileStripeShardingIsBitwiseIdentical)
                 EXPECT_TRUE(a.events == b.events);
             }
         }
-    }
-}
-
-TEST(EngineEquivalence, SimdV2KernelMatchesScalarKernel)
-{
-    // With the x86-64-v2 build off (or an old CPU) this pins the
-    // dispatcher to the scalar kernel twice — trivially equal; with
-    // it on, it is the widest-SIMD-tier-vs-scalar bitwise check
-    // (AVX-512 with the v4 build on capable hardware, then AVX2,
-    // then SSSE3).
-    Rng rng(0xE6);
-    // Sparse operating point so dbbGemm picks the intersection
-    // kernel (the dense-mirror path bypasses the dispatcher).
-    const GemmProblem p = makeDbbGemm(300, 512, 40, 2, 2, rng);
-    const auto model = makeArrayModel(ArrayConfig::s2taAw(2));
-    RunOptions opt;
-    opt.compute_output = true;
-
-    dbbForceScalarKernel(true);
-    EXPECT_EQ(dbbActiveKernel(), DbbKernelKind::Scalar);
-    const GemmRun scalar_kernel = model->run(p, opt);
-    dbbForceScalarKernel(false);
-    const GemmRun auto_kernel = model->run(p, opt);
-
-    EXPECT_EQ(scalar_kernel.output, auto_kernel.output);
-    EXPECT_EQ(auto_kernel.output, gemmReference(p));
-    if (dbbAvx512KernelSupportedImpl()) {
-        EXPECT_EQ(dbbActiveKernel(), DbbKernelKind::Avx512);
-    } else if (dbbAvx2KernelSupportedImpl()) {
-        EXPECT_EQ(dbbActiveKernel(), DbbKernelKind::Avx2);
-    } else if (dbbSimdKernelAvailable()) {
-        EXPECT_EQ(dbbActiveKernel(), DbbKernelKind::SimdV2);
     }
 }
 

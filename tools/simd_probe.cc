@@ -1,15 +1,15 @@
 /**
  * @file
  * Prints what the SIMD kernel ladder resolved to on this machine:
- * each tier's compile-time availability and runtime cpuid probe,
- * the AVX-512 sub-feature probes (VNNI dense dot, VPOPCNTDQ profile
- * derivation), and the tier the dispatcher actually selected. CI
- * runs this before the kernel tests so a log of a failing runner
- * shows exactly which paths were live; it is also the quickest way
- * to see why --simd avx512 is rejected on a given host.
+ * each dense-GEMM tier's compile-time availability and runtime
+ * cpuid probe, the AVX-512 VPOPCNTDQ profile sub-feature, and the
+ * tier the dispatcher actually selected. CI runs this before the
+ * kernel tests so a log of a failing runner shows exactly which
+ * paths were live; it is also the quickest way to see why
+ * --simd avx512 is rejected on a given host.
  *
  * Output is one `key value` pair per line (stable keys, lower-case
- * values) so scripts can grep it. Exits 0 always — an all-scalar
+ * values) so scripts can grep it. Exits 0 always — a baseline-only
  * machine is a valid configuration, not an error.
  */
 
@@ -23,19 +23,14 @@ using namespace s2ta;
 int
 main()
 {
-    std::printf("tier_scalar true\n");
-    std::printf("tier_ssse3 %s\n",
-                dbbSimdKernelSupportedImpl() ? "true" : "false");
-    std::printf("tier_avx2 %s\n",
-                dbbAvx2KernelSupportedImpl() ? "true" : "false");
-    std::printf("tier_avx512 %s\n",
-                dbbAvx512KernelSupportedImpl() ? "true" : "false");
-    std::printf("subfeature_avx512_vnni %s\n",
-                dbbVnniKernelSupportedImpl() ? "true" : "false");
+    for (const DbbKernelKind kind :
+         {DbbKernelKind::Scalar, DbbKernelKind::Avx2,
+          DbbKernelKind::Avx512}) {
+        std::printf("tier_%s %s\n", dbbKernelKindName(kind),
+                    dbbKernelSupported(kind) ? "true" : "false");
+    }
     std::printf("subfeature_avx512_vpopcntdq %s\n",
                 dbbVpopcntKernelSupportedImpl() ? "true" : "false");
-    std::printf("vnni_dense_dot_enabled %s\n",
-                dbbVnniDenseEnabled() ? "true" : "false");
     std::printf("profile_simd_enabled %s\n",
                 dbbProfileSimdEnabled() ? "true" : "false");
     std::printf("active_kernel %s\n",
