@@ -54,19 +54,36 @@ BM_OperandProfile(benchmark::State &state)
 BENCHMARK(BM_OperandProfile)->Unit(benchmark::kMicrosecond);
 
 void
-BM_OperandProfileFromDbb(benchmark::State &state)
+BM_OperandProfileFromMasks(benchmark::State &state)
 {
     const GemmProblem &p = sharedProblem();
     const GemmPlan plan = GemmPlan::build(p);
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            OperandProfile::fromDbb(p, plan.act(), plan.wgt()));
+            OperandProfile::fromMasks(p, plan.act(), plan.wgt()));
     state.SetItemsProcessed(
         state.iterations() *
         (static_cast<int64_t>(p.m) * p.k + static_cast<int64_t>(p.k)
          * p.n));
 }
-BENCHMARK(BM_OperandProfileFromDbb)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_OperandProfileFromMasks)->Unit(benchmark::kMicrosecond);
+
+/** The DBB masks of both operands: the SSE2 pcmpeqb/pmovmskb pass
+ *  over A and the byte-OR pass over W's K-rows. */
+void
+BM_MaskBuild(benchmark::State &state)
+{
+    const GemmProblem &p = sharedProblem();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(MaskMatrix::fromActivations(p, 8));
+        benchmark::DoNotOptimize(MaskMatrix::fromWeights(p, 8));
+    }
+    state.SetBytesProcessed(
+        state.iterations() *
+        (static_cast<int64_t>(p.m) * p.k +
+         static_cast<int64_t>(p.k) * p.n));
+}
+BENCHMARK(BM_MaskBuild)->Unit(benchmark::kMicrosecond);
 
 void
 BM_GemmPlanBuild(benchmark::State &state)
@@ -137,9 +154,9 @@ BENCHMARK(BM_DenseGemmTier)
     ->Unit(benchmark::kMicrosecond);
 
 /**
- * OperandProfile::fromDbb per derivation tier: the forced-scalar
+ * OperandProfile::fromMasks per derivation tier: the forced-scalar
  * per-bit mask loops vs the VPOPCNTDQ vectorized popcount +
- * histogram (range(0)). Same work as BM_OperandProfileFromDbb,
+ * histogram (range(0)). Same work as BM_OperandProfileFromMasks,
  * dispatch pinned either side.
  */
 void
@@ -157,7 +174,7 @@ BM_ProfileDerivationTier(benchmark::State &state)
                            : DbbKernelKind::Scalar);
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            OperandProfile::fromDbb(p, plan.act(), plan.wgt()));
+            OperandProfile::fromMasks(p, plan.act(), plan.wgt()));
     dbbForceKernelCap(DbbKernelKind::Avx512);
     state.SetLabel(simd ? "avx512-vpopcntdq" : "scalar-bitloops");
     state.SetBytesProcessed(

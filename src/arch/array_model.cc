@@ -55,9 +55,36 @@ OperandProfile::build(const GemmProblem &p)
     return prof;
 }
 
+namespace {
+
+/**
+ * Add the per-position counts of one vector's masks into @p hist
+ * and return the vector's non-zero count. With the AVX-512 tier
+ * active and 8-wide blocks the VPOPCNTDQ sub-kernel does it
+ * (bit-identical; see dbbProfileVectorAvx512); otherwise mask bit
+ * loops. Tail padding positions (>= k) are never set in any mask.
+ */
+int32_t
+profileVector(const Mask8 *masks, int nb, int bz, bool simd,
+              int32_t *hist, int k)
+{
+    if (simd && bz == 8)
+        return static_cast<int32_t>(
+            dbbProfileVectorAvx512(masks, nb, hist, k));
+    int32_t nz = 0;
+    for (int b = 0; b < nb; ++b) {
+        nz += maskPopcount(masks[b]);
+        for (Mask8 m = masks[b]; m; m = maskClearLowest(m))
+            ++hist[b * bz + maskLowestSetBit(m)];
+    }
+    return nz;
+}
+
+} // anonymous namespace
+
 OperandProfile
-OperandProfile::fromDbb(const GemmProblem &p, const DbbMatrix &act,
-                        const DbbMatrix &wgt)
+OperandProfile::fromMasks(const GemmProblem &p, const MaskMatrix &act,
+                          const MaskMatrix &wgt)
 {
     OperandProfile prof;
     prof.m = p.m;
@@ -69,51 +96,19 @@ OperandProfile::fromDbb(const GemmProblem &p, const DbbMatrix &act,
     prof.wgt_nz_at_k.assign(static_cast<size_t>(p.k), 0);
 
     // Per-vector counts from block popcounts, per-position counts
-    // from mask bit loops: O(blocks + nnz), no dense scan. Tail
-    // padding positions (>= k) are never set in any mask. With the
-    // AVX-512 tier active and the standard 8-wide blocks, whole
-    // vectors go through the VPOPCNTDQ/vpmovm2b sub-kernel instead
-    // (bit-identical; see dbbProfileVectorAvx512).
-    const int act_bz = act.spec().bz;
-    const bool simd_profile = dbbProfileSimdEnabled();
+    // from the mask bits: O(blocks + nnz), no dense scan.
+    const bool simd = dbbProfileSimdEnabled();
     for (int i = 0; i < p.m; ++i) {
-        const DbbBlock *row = act.vectorBlocks(i);
-        int32_t nz = 0;
-        if (simd_profile && act_bz == 8) {
-            nz = static_cast<int32_t>(dbbProfileVectorAvx512(
-                row, act.blocksPerVector(),
-                prof.act_nz_at_k.data(), p.k));
-        } else {
-            for (int b = 0; b < act.blocksPerVector(); ++b) {
-                nz += maskPopcount(row[b].mask);
-                for (Mask8 m = row[b].mask; m;
-                     m = maskClearLowest(m)) {
-                    ++prof.act_nz_at_k[static_cast<size_t>(
-                        b * act_bz + maskLowestSetBit(m))];
-                }
-            }
-        }
+        const int32_t nz = profileVector(
+            act.vectorMasks(i), act.blocksPerVector(), act.bz(), simd,
+            prof.act_nz_at_k.data(), p.k);
         prof.row_nz[static_cast<size_t>(i)] = nz;
         prof.act_nnz += nz;
     }
-    const int wgt_bz = wgt.spec().bz;
     for (int j = 0; j < p.n; ++j) {
-        const DbbBlock *col = wgt.vectorBlocks(j);
-        int32_t nz = 0;
-        if (simd_profile && wgt_bz == 8) {
-            nz = static_cast<int32_t>(dbbProfileVectorAvx512(
-                col, wgt.blocksPerVector(),
-                prof.wgt_nz_at_k.data(), p.k));
-        } else {
-            for (int b = 0; b < wgt.blocksPerVector(); ++b) {
-                nz += maskPopcount(col[b].mask);
-                for (Mask8 m = col[b].mask; m;
-                     m = maskClearLowest(m)) {
-                    ++prof.wgt_nz_at_k[static_cast<size_t>(
-                        b * wgt_bz + maskLowestSetBit(m))];
-                }
-            }
-        }
+        const int32_t nz = profileVector(
+            wgt.vectorMasks(j), wgt.blocksPerVector(), wgt.bz(), simd,
+            prof.wgt_nz_at_k.data(), p.k);
         prof.col_nz[static_cast<size_t>(j)] = nz;
         prof.wgt_nnz += nz;
     }

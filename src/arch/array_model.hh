@@ -131,13 +131,13 @@ struct OperandProfile
     static OperandProfile build(const GemmProblem &p);
 
     /**
-     * Fast construction from cached DBB encodings: per-position
+     * Fast construction from the operands' DBB masks: per-position
      * counts come from mask bit loops (O(nnz)) and per-vector counts
      * from block popcounts. Bit-identical to build().
      */
-    static OperandProfile fromDbb(const GemmProblem &p,
-                                  const DbbMatrix &act,
-                                  const DbbMatrix &wgt);
+    static OperandProfile fromMasks(const GemmProblem &p,
+                                    const MaskMatrix &act,
+                                    const MaskMatrix &wgt);
 };
 
 /** Base class for all cycle-level array models. */

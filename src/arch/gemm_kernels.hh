@@ -20,9 +20,10 @@
 
 #include <cstdint>
 
+#include "base/bitmask.hh"
+
 namespace s2ta {
 
-struct DbbBlock;
 enum class DbbKernelKind;
 
 /**
@@ -71,16 +72,16 @@ DenseGemmRowsFn denseGemmRowsFor(DbbKernelKind kind);
 
 /**
  * VPOPCNTDQ profile derivation (sub-feature of the AVX-512 tier):
- * adds the per-position non-zero counts of one encoded vector of
- * bz == 8 blocks into hist[block * 8 + bit] and returns the
- * vector's total mask popcount. Groups of 8 blocks whose full
- * 64-position window fits inside @p hist_len go through the SIMD
- * path (packed-mask vpopcntq for the total, vpmovm2b widening for
- * the histogram); trailing blocks fall back to per-bit updates.
+ * adds the per-position non-zero counts of one vector of @p nblocks
+ * bz == 8 masks into hist[block * 8 + bit] and returns the vector's
+ * total mask popcount. The total is vpopcntq over 64-byte loads of
+ * the mask array; every group of 8 masks whose 64-position window
+ * fits inside @p hist_len is widened by vpmovm2b into the
+ * histogram, and trailing blocks fall back to per-bit updates.
  * Bit-identical to the scalar mask loops in
- * OperandProfile::fromDbb.
+ * OperandProfile::fromMasks.
  */
-int64_t dbbProfileVectorAvx512(const DbbBlock *blocks, int nblocks,
+int64_t dbbProfileVectorAvx512(const Mask8 *masks, int nblocks,
                                int32_t *hist, int hist_len);
 
 /** True when the VPOPCNTDQ profile path is compiled in and this CPU

@@ -12,8 +12,8 @@
  *    meets a zero weight. All arithmetic wraps mod 2^32,
  *    bit-identical to gemmReference.
  *  - Profile derivation (avx512vpopcntdq + avx512bw): per-vector
- *    nnz from vpopcntq over packed mask words, per-position
- *    histogram updates from vpmovm2b-widened mask bytes.
+ *    nnz from vpopcntq over 64-byte loads of the mask array,
+ *    per-position histogram updates from vpmovm2b-widened masks.
  *
  * Both are property-tested in tests/arch/test_gemm_kernels.cc.
  *
@@ -27,7 +27,8 @@
  */
 
 #include "arch/gemm_kernels.hh"
-#include "core/dbb.hh"
+
+#include <cstring>
 
 #if defined(S2TA_X86_64_V4) && defined(__AVX512F__) &&                \
     defined(__AVX512BW__) && defined(__AVX512VNNI__) &&               \
@@ -174,31 +175,35 @@ dbbAvx512KernelSupportedImpl()
 }
 
 int64_t
-dbbProfileVectorAvx512(const DbbBlock *blocks, int nblocks,
+dbbProfileVectorAvx512(const Mask8 *masks, int nblocks,
                        int32_t *hist, int hist_len)
 {
-    // Only 8-block groups whose full 64-position window fits in the
-    // histogram take the SIMD path; K's tail blocks (positions that
-    // would index past hist_len) stay on the per-bit loop below.
+    // The total: the mask array is contiguous, so each 64-byte load
+    // is 64 blocks' masks and one vpopcntq counts them.
+    __m512i nnz_acc = _mm512_setzero_si512();
+    int b = 0;
+    for (; b + 64 <= nblocks; b += 64) {
+        nnz_acc = _mm512_add_epi64(
+            nnz_acc, _mm512_popcnt_epi64(_mm512_loadu_si512(masks + b)));
+    }
+    alignas(64) int64_t nnz_lane[8];
+    _mm512_store_si512(nnz_lane, nnz_acc);
+    int64_t nnz = 0;
+    for (const int64_t lane : nnz_lane)
+        nnz += lane;
+    for (; b < nblocks; ++b)
+        nnz += __builtin_popcount(masks[b]);
+
+    // The histogram: only 8-block groups whose full 64-position
+    // window fits in it take the SIMD path; K's tail blocks
+    // (positions that would index past hist_len) stay on the
+    // per-bit loop below.
     int simd_groups = nblocks / 8;
     if (simd_groups > hist_len / 64)
         simd_groups = hist_len / 64;
-
-    __m512i nnz_acc = _mm512_setzero_si512();
-    alignas(64) uint64_t words[8];
-    int wi = 0;
     for (int g = 0; g < simd_groups; ++g) {
-        const DbbBlock *blk = blocks + g * 8;
-        uint64_t km = 0;
-        for (int j = 0; j < 8; ++j)
-            km |= static_cast<uint64_t>(blk[j].mask) << (8 * j);
-        words[wi++] = km;
-        if (wi == 8) {
-            nnz_acc = _mm512_add_epi64(
-                nnz_acc,
-                _mm512_popcnt_epi64(_mm512_load_si512(words)));
-            wi = 0;
-        }
+        uint64_t km;
+        std::memcpy(&km, masks + g * 8, sizeof(km));
         // Widen the 64 mask bits to 0/-1 bytes, then to 0/-1 INT32
         // lanes, and subtract into the histogram (x - (-1) == x+1).
         const __m512i bytes =
@@ -220,26 +225,9 @@ dbbProfileVectorAvx512(const DbbBlock *blocks, int nblocks,
                                 _mm512_sub_epi32(cur, wide));
         }
     }
-    if (wi > 0) {
-        for (int z = wi; z < 8; ++z)
-            words[z] = 0;
-        nnz_acc = _mm512_add_epi64(
-            nnz_acc, _mm512_popcnt_epi64(_mm512_load_si512(words)));
-    }
-    alignas(64) int64_t nnz_lane[8];
-    _mm512_store_si512(nnz_lane, nnz_acc);
-    int64_t nnz = 0;
-    for (int i = 0; i < 8; ++i)
-        nnz += nnz_lane[i]; // popcounts: no overflow possible
-
-
-    for (int b = simd_groups * 8; b < nblocks; ++b) {
-        unsigned m = blocks[b].mask;
-        nnz += __builtin_popcount(m);
-        while (m != 0) {
+    for (b = simd_groups * 8; b < nblocks; ++b) {
+        for (unsigned m = masks[b]; m != 0; m &= m - 1)
             ++hist[b * 8 + __builtin_ctz(m)];
-            m &= m - 1;
-        }
     }
     return nnz;
 }
@@ -272,18 +260,15 @@ dbbAvx512KernelSupportedImpl()
 }
 
 int64_t
-dbbProfileVectorAvx512(const DbbBlock *blocks, int nblocks,
+dbbProfileVectorAvx512(const Mask8 *masks, int nblocks,
                        int32_t *hist, int hist_len)
 {
     (void)hist_len;
     int64_t nnz = 0;
     for (int b = 0; b < nblocks; ++b) {
-        unsigned m = blocks[b].mask;
-        nnz += __builtin_popcount(m);
-        while (m != 0) {
+        nnz += __builtin_popcount(masks[b]);
+        for (unsigned m = masks[b]; m != 0; m &= m - 1)
             ++hist[b * 8 + __builtin_ctz(m)];
-            m &= m - 1;
-        }
     }
     return nnz;
 }

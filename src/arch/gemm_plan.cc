@@ -322,61 +322,20 @@ GemmPlan
 GemmPlan::build(const GemmProblem &p, int bz, bool dense_mirror)
 {
     s2ta_assert(bz >= 1 && bz <= 8, "block size %d", bz);
-    // Encode with the permissive bz/bz spec: a plan caches content,
-    // not a density contract; bounds are checked against the masks
-    // by checkWeights / checkActivations.
-    const DbbSpec all{bz, bz};
-    return assemble(p, bz, DbbMatrix::fromActivations(p, all),
-                    DbbMatrix::fromWeights(p, all), dense_mirror);
-}
-
-GemmPlan
-GemmPlan::assemble(const GemmProblem &p, int bz, DbbMatrix act,
-                   DbbMatrix wgt, bool dense_mirror)
-{
+    // A plan caches content, not a density contract: bounds are
+    // checked against the masks by checkWeights / checkActivations.
     GemmPlan plan(p);
     plan.blk_bz = bz;
-    plan.act_blocks = std::move(act);
-    plan.wgt_blocks = std::move(wgt);
-    plan.prof = OperandProfile::fromDbb(p, plan.act_blocks,
-                                        plan.wgt_blocks);
-
+    plan.act_masks = MaskMatrix::fromActivations(p, bz);
+    plan.wgt_masks = MaskMatrix::fromWeights(p, bz);
+    plan.prof =
+        OperandProfile::fromMasks(p, plan.act_masks, plan.wgt_masks);
     if (dense_mirror) {
         plan.wgt_t.resize(static_cast<size_t>(p.n) * p.k);
         transposeWeights(p, plan.wgt_t.data());
     }
-
     plan.is_encoded = true;
     return plan;
-}
-
-GemmPlan
-GemmPlan::restore(const GemmProblem &p, Parts parts)
-{
-    s2ta_assert(parts.bz >= 1 && parts.bz <= 8, "block size %d",
-                parts.bz);
-    s2ta_assert(parts.act.vectors() == p.m &&
-                    parts.wgt.vectors() == p.n,
-                "restored encodings (%d act, %d wgt vectors) do not "
-                "match %dx%dx%d", parts.act.vectors(),
-                parts.wgt.vectors(), p.m, p.k, p.n);
-    GemmPlan plan(p);
-    plan.blk_bz = parts.bz;
-    plan.act_blocks = std::move(parts.act);
-    plan.wgt_blocks = std::move(parts.wgt);
-    plan.wgt_t = std::move(parts.wgt_t);
-    plan.prof = std::move(parts.prof);
-    plan.is_encoded = true;
-    return plan;
-}
-
-GemmPlan
-GemmPlan::rebuild(const GemmProblem &p, int bz, DbbMatrix act,
-                  DbbMatrix wgt, bool dense_mirror)
-{
-    s2ta_assert(bz >= 1 && bz <= 8, "block size %d", bz);
-    return assemble(p, bz, std::move(act), std::move(wgt),
-                    dense_mirror);
 }
 
 GemmPlan
@@ -389,15 +348,15 @@ namespace {
 
 /** Popcount density check shared by both operand validators. */
 void
-checkBlockDensity(const DbbMatrix &mat, const DbbSpec &spec,
+checkBlockDensity(const MaskMatrix &mat, const DbbSpec &spec,
                   const char *kind, const char *vec_name,
                   const char *remedy)
 {
     const int nb = mat.blocksPerVector();
     for (int v = 0; v < mat.vectors(); ++v) {
-        const DbbBlock *blocks = mat.vectorBlocks(v);
+        const Mask8 *masks = mat.vectorMasks(v);
         for (int b = 0; b < nb; ++b) {
-            if (maskPopcount(blocks[b].mask) > spec.nnz) {
+            if (maskPopcount(masks[b]) > spec.nnz) {
                 s2ta_fatal("%s block (%s %d, block %d) violates %s; "
                            "run %s first", kind, vec_name, v, b,
                            spec.toString().c_str(), remedy);
@@ -415,7 +374,7 @@ GemmPlan::checkWeights(const DbbSpec &spec) const
     if (wgt_ok_spec.load(std::memory_order_acquire) ==
         encodeSpec(spec))
         return;
-    checkBlockDensity(wgt_blocks, spec, "weight", "col",
+    checkBlockDensity(wgt_masks, spec, "weight", "col",
                       "pruneWeightsDbb");
     wgt_ok_spec.store(encodeSpec(spec), std::memory_order_release);
 }
@@ -427,7 +386,7 @@ GemmPlan::checkActivations(const DbbSpec &spec) const
     if (act_ok_spec.load(std::memory_order_acquire) ==
         encodeSpec(spec))
         return;
-    checkBlockDensity(act_blocks, spec, "activation", "row", "DAP");
+    checkBlockDensity(act_masks, spec, "activation", "row", "DAP");
     act_ok_spec.store(encodeSpec(spec), std::memory_order_release);
 }
 

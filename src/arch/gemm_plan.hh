@@ -1,26 +1,28 @@
 /**
  * @file
- * Pre-encoded execution plan for one GEMM.
+ * Pre-built execution plan for one GEMM.
  *
- * The DBB-native engine exploits the simulator's own sparse format:
- * both operands are encoded into DbbMatrix form exactly once, the
- * OperandProfile is derived from the block masks (O(nnz) bit loops
- * instead of an O(M*K + K*N) dense scan), and density validation is
- * a popcount test per block. Every architecture model consumes the
- * same plan, so nothing is re-encoded inside simulate() and
- * Accelerator::runLayer reuses one plan across the whole tile grid.
- * The split is SCNN's: masks are the sparse form the event models
- * read, and dense bytes are what the arithmetic reads — a plan that
- * computes outputs also keeps the transposed dense weights, which
- * dbbGemm contracts against the dense activation rows.
+ * A plan holds what every consumer of one GEMM reads, derived once:
+ * the DBB positional bitmask of every block of both operands
+ * (MaskMatrix, one byte per block, built in one SSE2 pass per
+ * operand), the OperandProfile derived from those masks, and — when
+ * the plan computes outputs — the transposed dense weights. The
+ * split is SCNN's: masks are the sparse form the event models, the
+ * SMT sampler and the density checks read, and dense bytes are what
+ * the arithmetic reads (dbbGemm contracts the dense activation rows
+ * against the transposed weights). The DBB values themselves never
+ * enter a plan; the scalar oracle engines encode their own.
+ * Every architecture model consumes the same plan, so nothing is
+ * re-derived inside simulate() and Accelerator::runLayer reuses one
+ * plan across the whole tile grid.
  *
  * A plan borrows the GemmProblem it was built from; the problem must
  * outlive the plan. Plans are immutable after construction apart
  * from a small validation memo, which is atomic so one plan can be
  * shared across concurrent consumers: sweep lanes (PlanCache hands
- * the same encoding to every design point under comparison) and
+ * the same plan to every design point under comparison) and
  * serving streams (every request re-sending a workload simulates
- * from the same cached encoding). Batched workloads need nothing
+ * from the same cached plan). Batched workloads need nothing
  * special here — batch > 1 only grows the problem's M axis.
  */
 
@@ -80,7 +82,7 @@ void dbbForceKernelCap(DbbKernelKind cap);
 /** The currently forced cap (Avx512 = unclamped). */
 DbbKernelKind dbbKernelCap();
 
-/** True when OperandProfile::fromDbb may use the AVX-512 VPOPCNTDQ
+/** True when OperandProfile::fromMasks may use the AVX-512 VPOPCNTDQ
  *  derivation (compiled in, CPU support, cap not below Avx512). */
 bool dbbProfileSimdEnabled();
 
@@ -110,73 +112,40 @@ class GemmPlan
 {
   public:
     /**
-     * Encode both operands of @p p (one sequential pass each, all
-     * non-zeros kept) and derive the mask-based profile. @p bz is
-     * the block size; K need not be a multiple (tail blocks are
-     * zero-padded losslessly). @p dense_mirror additionally caches
-     * the transposed dense weights dbbGemm contracts against; skip
-     * it for events-only runs that never compute an output.
+     * Build the masks of both operands of @p p (one pass each) and
+     * derive the profile from them. @p bz is the block size; K need
+     * not be a multiple (tail blocks are zero-padded).
+     * @p dense_mirror additionally caches the transposed dense
+     * weights dbbGemm contracts against; skip it for events-only
+     * runs that never compute an output.
      */
     static GemmPlan build(const GemmProblem &p, int bz = 8,
                           bool dense_mirror = true);
 
     /**
-     * Wrap @p p without encoding anything: the legacy scalar engine
+     * Wrap @p p without deriving anything: the legacy scalar engine
      * runs straight off the dense operands.
      */
     static GemmPlan shallow(const GemmProblem &p);
-
-    /** Deserialized pieces of an encoded plan (store hydration). */
-    struct Parts
-    {
-        int bz = 8;
-        DbbMatrix act;
-        DbbMatrix wgt;
-        /** Dense transposed mirror; empty = none materialized. */
-        std::vector<int8_t> wgt_t;
-        OperandProfile prof;
-    };
-
-    /**
-     * Reassemble a plan from fully serialized parts (the persistent
-     * plan store's hydration path): every member — encodings,
-     * mirror, profile — is adopted verbatim, nothing is recomputed.
-     * The caller (PlanStore) is responsible for @p parts having
-     * come from a build() of operands identical to @p p; the store's
-     * checksum + fingerprint validation establishes exactly that.
-     */
-    static GemmPlan restore(const GemmProblem &p, Parts parts);
-
-    /**
-     * Reassemble a plan from its encodings alone (the spill tier's
-     * rehydration path, which persists only the compressed blocks).
-     * The profile is re-derived from the masks and the dense mirror
-     * re-materialized when @p dense_mirror (the original build
-     * request) asks for it, so the result is indistinguishable from
-     * a fresh build of the same operands.
-     */
-    static GemmPlan rebuild(const GemmProblem &p, int bz,
-                            DbbMatrix act, DbbMatrix wgt,
-                            bool dense_mirror);
 
     const GemmProblem &problem() const { return *prob; }
     int bz() const { return blk_bz; }
     bool encoded() const { return is_encoded; }
 
-    /** Activation blocks (M vectors of ceil(K/bz) blocks). */
-    const DbbMatrix &
+    /** Activation masks (M vectors of ceil(K/bz) blocks). */
+    const MaskMatrix &
     act() const
     {
         s2ta_assert(is_encoded, "plan is shallow (scalar engine)");
-        return act_blocks;
+        return act_masks;
     }
 
-    /** Weight blocks (N vectors of ceil(K/bz) blocks). */
-    const DbbMatrix &
+    /** Weight masks (N vectors of ceil(K/bz) blocks). */
+    const MaskMatrix &
     wgt() const
     {
         s2ta_assert(is_encoded, "plan is shallow (scalar engine)");
-        return wgt_blocks;
+        return wgt_masks;
     }
 
     /** Mask-derived operand profile (only on encoded plans). */
@@ -202,19 +171,19 @@ class GemmPlan
     bool
     actNonZero(int i, int kk) const
     {
-        return act_blocks.nonZeroAt(i, kk);
+        return act_masks.nonZeroAt(i, kk);
     }
 
     /** Mask test: weight (kk, j) non-zero. */
     bool
     wgtNonZero(int kk, int j) const
     {
-        return wgt_blocks.nonZeroAt(j, kk);
+        return wgt_masks.nonZeroAt(j, kk);
     }
 
     /**
-     * Verify every weight block satisfies @p spec via its cached
-     * mask popcount; fatal on violation. Repeat calls with the same
+     * Verify every weight block satisfies @p spec via its mask
+     * popcount; fatal on violation. Repeat calls with the same
      * spec are memoized; the memo is atomic and re-validation by a
      * racing lane is idempotent, so concurrent consumers of a
      * cached plan may all call this.
@@ -228,8 +197,8 @@ class GemmPlan
     // heavyweight, so copies stay disallowed — share via PlanCache.
     GemmPlan(GemmPlan &&o) noexcept
         : prob(o.prob), blk_bz(o.blk_bz), is_encoded(o.is_encoded),
-          act_blocks(std::move(o.act_blocks)),
-          wgt_blocks(std::move(o.wgt_blocks)),
+          act_masks(std::move(o.act_masks)),
+          wgt_masks(std::move(o.wgt_masks)),
           wgt_t(std::move(o.wgt_t)), prof(std::move(o.prof)),
           wgt_ok_spec(o.wgt_ok_spec.load()),
           act_ok_spec(o.act_ok_spec.load())
@@ -241,8 +210,8 @@ class GemmPlan
         prob = o.prob;
         blk_bz = o.blk_bz;
         is_encoded = o.is_encoded;
-        act_blocks = std::move(o.act_blocks);
-        wgt_blocks = std::move(o.wgt_blocks);
+        act_masks = std::move(o.act_masks);
+        wgt_masks = std::move(o.wgt_masks);
         wgt_t = std::move(o.wgt_t);
         prof = std::move(o.prof);
         wgt_ok_spec.store(o.wgt_ok_spec.load());
@@ -256,16 +225,6 @@ class GemmPlan
   private:
     explicit GemmPlan(const GemmProblem &p) : prob(&p) {}
 
-    /**
-     * Shared tail of build()/rebuild(): adopt the encodings, derive
-     * the profile from the masks, and materialize the dense mirror
-     * when requested. One implementation so a rehydrated plan can
-     * never drift from a fresh build.
-     */
-    static GemmPlan assemble(const GemmProblem &p, int bz,
-                             DbbMatrix act, DbbMatrix wgt,
-                             bool dense_mirror);
-
     /** Pack a spec into a non-zero memo word (nnz >= 1 always). */
     static uint16_t
     encodeSpec(const DbbSpec &spec)
@@ -277,8 +236,8 @@ class GemmPlan
     const GemmProblem *prob;
     int blk_bz = 8;
     bool is_encoded = false;
-    DbbMatrix act_blocks;
-    DbbMatrix wgt_blocks;
+    MaskMatrix act_masks;
+    MaskMatrix wgt_masks;
     std::vector<int8_t> wgt_t;
     OperandProfile prof;
 

@@ -46,12 +46,10 @@ PlanCache::entryBytes(const CachedPlan &e)
 {
     int64_t bytes = static_cast<int64_t>(e.problem.a.size()) +
                     static_cast<int64_t>(e.problem.w.size());
-    bytes += static_cast<int64_t>(e.plan.act().vectors()) *
+    bytes += static_cast<int64_t>(e.plan.act().vectors() +
+                                  e.plan.wgt().vectors()) *
              e.plan.act().blocksPerVector() *
-             static_cast<int64_t>(sizeof(DbbBlock));
-    bytes += static_cast<int64_t>(e.plan.wgt().vectors()) *
-             e.plan.wgt().blocksPerVector() *
-             static_cast<int64_t>(sizeof(DbbBlock));
+             static_cast<int64_t>(sizeof(Mask8));
     if (e.plan.wgtDenseT() != nullptr)
         bytes += static_cast<int64_t>(e.problem.n) * e.problem.k;
     return bytes;

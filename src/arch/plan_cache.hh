@@ -2,10 +2,10 @@
  * @file
  * Cross-run plan cache for architecture sweeps and serving.
  *
- * The compressed DBB form of a workload is config-independent: the
- * same encoded GemmPlan serves every array geometry, SMT depth, and
- * sparsity bound under comparison, so a sweep over many design
- * points only needs to im2col-lower and encode each workload once.
+ * The DBB masks of a workload are config-independent: the same
+ * GemmPlan serves every array geometry, SMT depth, and sparsity
+ * bound under comparison, so a sweep over many design points only
+ * needs to im2col-lower and build each workload's plan once.
  * The same property makes the format weight-static under serving
  * traffic: one cache shared across every stream of a
  * serve::StreamScheduler lets repeated (model, batch) requests —
@@ -44,12 +44,12 @@
  * both returning plans bit-identical to a fresh build:
  *
  *  - **Spill tier** (spill_max_bytes > 0): entries evicted from the
- *    resident LRU are kept in the compact spill form (dims + block
- *    arrays, varint/RLE-coded; see arch/plan_store.hh) under their
+ *    resident LRU are kept in the compact spill form (dims + DBB
+ *    blocks, varint/RLE-coded; see arch/plan_store.hh) under their
  *    own byte budget with their own LRU. A lookup that misses the
- *    resident tier but hits the spill tier rehydrates — decode +
- *    operand reconstruction + profile/mirror re-derivation — which
- *    costs a fraction of the full im2col-lower + encode miss, so a
+ *    resident tier but hits the spill tier rehydrates — decode the
+ *    operands, then build the plan from them — which skips the
+ *    im2col lowering of a full miss, so a
  *    bounded cache under a cyclic trace degrades smoothly instead
  *    of falling off the LRU-thrash cliff. Rehydrated entries
  *    re-enter the resident tier (possibly spilling another entry),
@@ -62,7 +62,7 @@
  *    tiers consults the cross-process PlanStore before lowering,
  *    and a full miss saves its freshly built plan back. Warm
  *    process starts hydrate plans from the mmap'd images instead of
- *    re-encoding; corrupt or version-mismatched files are rejected,
+ *    lowering; corrupt or version-mismatched files are rejected,
  *    rebuilt, and silently replaced. The store is not owned and
  *    must outlive the cache.
  *
@@ -90,26 +90,14 @@ namespace s2ta {
 class FaultInjector;
 class PlanStore;
 
-/** One cached workload: the owned operands plus their encoded plan. */
+/** One cached workload: the owned operands plus their plan (the
+ *  store and spill decoders rebuild entries through the same
+ *  constructor, from recovered operands). */
 struct CachedPlan
 {
     CachedPlan(GemmProblem p, int bz, bool dense_mirror)
         : problem(std::move(p)),
           plan(GemmPlan::build(problem, bz, dense_mirror))
-    {}
-
-    /**
-     * Hydration constructor: adopt @p p and build the plan with
-     * @p build_plan, which receives the *owned* problem (plans
-     * borrow the problem they were built from, so it must be this
-     * entry's member, not the caller's temporary). Used by the
-     * store and spill decoders, whose plans come from
-     * GemmPlan::restore / GemmPlan::rebuild rather than a fresh
-     * encode.
-     */
-    template <typename BuildFn>
-    CachedPlan(GemmProblem p, BuildFn &&build_plan)
-        : problem(std::move(p)), plan(build_plan(problem))
     {}
 
     const GemmProblem problem;
@@ -172,7 +160,7 @@ class PlanCache
      *        (sweep drivers usually hold every workload of one
      *        model).
      * @param max_bytes LRU resident-byte budget (operands +
-     *        encodings + mirrors); 0 means unbounded. Entries are
+     *        masks + mirrors); 0 means unbounded. Entries are
      *        evicted least-recently-used until both caps hold.
      * @param spill_max_bytes Spill-tier byte budget for evicted
      *        entries in compact form; 0 disables the tier (evicted
@@ -282,7 +270,8 @@ class PlanCache
     static uint64_t fingerprint(const GemmProblem &p);
 
   private:
-    /** Bytes an entry pins in memory (operands + dense mirror). */
+    /** Bytes an entry pins in memory (operands, masks and the
+     *  dense mirror). */
     static int64_t entryBytes(const CachedPlan &e);
 
     /**

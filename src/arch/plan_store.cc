@@ -14,13 +14,6 @@ namespace s2ta {
 
 namespace {
 
-// The store memcpys whole block arrays; the compressed block must
-// be a padding-free POD for the image to be deterministic.
-static_assert(sizeof(DbbBlock) == 9 &&
-                  std::is_trivially_copyable_v<DbbBlock>,
-              "DbbBlock layout changed; bump kPlanStoreVersion and "
-              "adjust the (de)serializers");
-
 /** On-disk header; every field fixed-width, total 48 bytes. */
 struct PlanFileHeader
 {
@@ -49,12 +42,12 @@ constexpr int64_t kMaxDim = int64_t{1} << 27;
  *  in this fixed order). */
 struct SectionSizes
 {
-    int64_t a, w, act_blocks, wgt_blocks, wgt_t, profile;
+    int64_t a, w, act_masks, wgt_masks, wgt_t, profile;
 
     int64_t
     payload() const
     {
-        return a + w + act_blocks + wgt_blocks + wgt_t + profile;
+        return a + w + act_masks + wgt_masks + wgt_t + profile;
     }
 };
 
@@ -65,8 +58,8 @@ sectionSizes(int64_t m, int64_t k, int64_t n, int64_t nb,
     SectionSizes s;
     s.a = m * k;
     s.w = k * n;
-    s.act_blocks = m * nb * static_cast<int64_t>(sizeof(DbbBlock));
-    s.wgt_blocks = n * nb * static_cast<int64_t>(sizeof(DbbBlock));
+    s.act_masks = m * nb * static_cast<int64_t>(sizeof(Mask8));
+    s.wgt_masks = n * nb * static_cast<int64_t>(sizeof(Mask8));
     s.wgt_t = mirror ? n * k : 0;
     // row_nz[m], col_nz[n], act_nz_at_k[k], wgt_nz_at_k[k], then
     // the three 64-bit nnz / matched-product totals.
@@ -86,13 +79,40 @@ put(std::vector<uint8_t> &out, const void *data, size_t len)
         std::memcpy(out.data() + at, data, len);
 }
 
-/** Copy @p len bytes out of the image, advancing the cursor. */
+/**
+ * Append the sections a plan derives from its operands: both mask
+ * arrays, the dense mirror when the plan has one, and the profile.
+ * The serializer writes them; the deserializer rebuilds the plan
+ * from the stored operands and demands these exact bytes back.
+ */
 void
-take(const uint8_t *&p, void *dst, size_t len)
+putDerived(std::vector<uint8_t> &out, const GemmPlan &plan)
 {
-    if (len > 0)
-        std::memcpy(dst, p, len);
-    p += len;
+    const GemmProblem &p = plan.problem();
+    const OperandProfile &prof = plan.profile();
+    const auto maskBytes = [](const MaskMatrix &mm) {
+        return static_cast<size_t>(mm.vectors()) *
+               mm.blocksPerVector() * sizeof(Mask8);
+    };
+    put(out, plan.act().data(), maskBytes(plan.act()));
+    put(out, plan.wgt().data(), maskBytes(plan.wgt()));
+    if (plan.wgtDenseT() != nullptr)
+        put(out, plan.wgtDenseT(), static_cast<size_t>(p.n) * p.k);
+    s2ta_assert(prof.row_nz.size() == static_cast<size_t>(p.m) &&
+                    prof.col_nz.size() ==
+                        static_cast<size_t>(p.n) &&
+                    prof.act_nz_at_k.size() ==
+                        static_cast<size_t>(p.k) &&
+                    prof.wgt_nz_at_k.size() ==
+                        static_cast<size_t>(p.k),
+                "profile vectors do not match the plan dims");
+    for (const std::vector<int32_t> *v :
+         {&prof.row_nz, &prof.col_nz, &prof.act_nz_at_k,
+          &prof.wgt_nz_at_k})
+        put(out, v->data(), v->size() * sizeof(int32_t));
+    put(out, &prof.act_nnz, sizeof(int64_t));
+    put(out, &prof.wgt_nnz, sizeof(int64_t));
+    put(out, &prof.matched_products, sizeof(int64_t));
 }
 
 // ---- spill codec helpers --------------------------------------------
@@ -127,23 +147,31 @@ getVarint(const uint8_t *&p, const uint8_t *end)
  * Mask + stored values per block; runs of all-zero blocks collapse
  * to one zero mask byte plus a varint run extension. Zero blocks
  * dominate at high sparsity, so cyclic serving traces spill small.
+ * The values are read from the dense operand through
+ * @p value_at(vector, k), in ascending position order.
  */
+template <typename ValueAt>
 void
-encodeBlocks(const DbbMatrix &mat, std::vector<uint8_t> &out)
+encodeBlocks(const MaskMatrix &mat, const ValueAt &value_at,
+             std::vector<uint8_t> &out)
 {
-    const DbbBlock *blocks = mat.vectorBlocks(0);
-    const int64_t total =
-        static_cast<int64_t>(mat.vectors()) * mat.blocksPerVector();
+    const Mask8 *masks = mat.data();
+    const int nb = mat.blocksPerVector();
+    const int64_t total = static_cast<int64_t>(mat.vectors()) * nb;
     for (int64_t i = 0; i < total;) {
-        const Mask8 mask = blocks[i].mask;
+        const Mask8 mask = masks[i];
         out.push_back(mask);
         if (mask != 0) {
-            put(out, blocks[i].values.data(),
-                static_cast<size_t>(maskPopcount(mask)));
+            const auto v = static_cast<int>(i / nb);
+            const int base = static_cast<int>(i % nb) * mat.bz();
+            for (Mask8 m = mask; m; m = maskClearLowest(m)) {
+                out.push_back(static_cast<uint8_t>(
+                    value_at(v, base + maskLowestSetBit(m))));
+            }
             ++i;
         } else {
             int64_t run = 1;
-            while (i + run < total && blocks[i + run].mask == 0)
+            while (i + run < total && masks[i + run] == 0)
                 ++run;
             putVarint(out, static_cast<uint64_t>(run - 1));
             i += run;
@@ -151,75 +179,42 @@ encodeBlocks(const DbbMatrix &mat, std::vector<uint8_t> &out)
     }
 }
 
+/**
+ * Inverse of encodeBlocks for one operand of @p vectors x @p nb
+ * blocks: every stored value goes to the dense operand through
+ * @p store(vector, k, value). The encoding is lossless (every
+ * non-zero keeps its position and value; padding positions stay
+ * unset), so this reconstructs the operand exactly.
+ */
+template <typename Store>
 void
-decodeBlocks(const uint8_t *&p, const uint8_t *end,
-             std::vector<DbbBlock> &blks)
+decodeBlocks(const uint8_t *&p, const uint8_t *end, int vectors,
+             int nb, int bz, int k, const Store &store)
 {
-    size_t i = 0;
-    while (i < blks.size()) {
+    const int64_t total = static_cast<int64_t>(vectors) * nb;
+    for (int64_t i = 0; i < total;) {
         s2ta_assert(p < end, "truncated spill block stream");
         const Mask8 mask = *p++;
         if (mask == 0) {
             const uint64_t run = 1 + getVarint(p, end);
-            s2ta_assert(i + run <= blks.size(),
+            s2ta_assert(run <= static_cast<uint64_t>(total - i),
                         "spill zero-run overruns the block array");
-            i += run; // blocks are value-initialized to zero
-        } else {
-            DbbBlock &b = blks[i++];
-            b.mask = mask;
-            const int c = maskPopcount(mask);
-            s2ta_assert(p + c <= end,
-                        "truncated spill block values");
-            take(p, b.values.data(), static_cast<size_t>(c));
+            i += static_cast<int64_t>(run);
+            continue;
         }
-    }
-}
-
-/**
- * Reconstruct the dense operands from their encodings. Encoding is
- * lossless (every non-zero keeps its position and value; padding
- * positions stay unset), so this inverts it exactly.
- */
-GemmProblem
-problemFromBlocks(int m, int k, int n, int bz, int nb,
-                  const std::vector<DbbBlock> &act,
-                  const std::vector<DbbBlock> &wgt)
-{
-    GemmProblem p(m, k, n);
-    for (int i = 0; i < m; ++i) {
-        const DbbBlock *row = &act[static_cast<size_t>(i) * nb];
-        int8_t *dst = &p.a[static_cast<size_t>(i) * k];
-        for (int b = 0; b < nb; ++b) {
-            const DbbBlock &blk = row[b];
-            int slot = 0;
-            for (Mask8 mm = blk.mask; mm;
-                 mm = maskClearLowest(mm)) {
-                const int kk = b * bz + maskLowestSetBit(mm);
-                s2ta_assert(kk < k,
-                            "spilled activation non-zero in the "
-                            "padding tail");
-                dst[kk] =
-                    blk.values[static_cast<size_t>(slot++)];
-            }
+        s2ta_assert((mask >> bz) == 0 &&
+                        p + maskPopcount(mask) <= end,
+                    "malformed spill block");
+        const auto v = static_cast<int>(i / nb);
+        const int base = static_cast<int>(i % nb) * bz;
+        for (Mask8 m = mask; m; m = maskClearLowest(m)) {
+            const int kk = base + maskLowestSetBit(m);
+            s2ta_assert(kk < k,
+                        "spilled non-zero in the padding tail");
+            store(v, kk, static_cast<int8_t>(*p++));
         }
+        ++i;
     }
-    for (int j = 0; j < n; ++j) {
-        const DbbBlock *col = &wgt[static_cast<size_t>(j) * nb];
-        for (int b = 0; b < nb; ++b) {
-            const DbbBlock &blk = col[b];
-            int slot = 0;
-            for (Mask8 mm = blk.mask; mm;
-                 mm = maskClearLowest(mm)) {
-                const int kk = b * bz + maskLowestSetBit(mm);
-                s2ta_assert(kk < k,
-                            "spilled weight non-zero in the "
-                            "padding tail");
-                p.w[static_cast<size_t>(kk) * n + j] =
-                    blk.values[static_cast<size_t>(slot++)];
-            }
-        }
-    }
-    return p;
 }
 
 constexpr uint8_t kSpillMagic = 0x53; // 'S'
@@ -450,7 +445,6 @@ PlanStore::serialize(uint64_t key, const CachedPlan &entry)
     s2ta_assert(plan.encoded(),
                 "only encoded plans are storable (scalar-engine "
                 "runs bypass the cache entirely)");
-    const OperandProfile &prof = plan.profile();
     const int nb = plan.act().blocksPerVector();
     const bool mirror = plan.wgtDenseT() != nullptr;
     const SectionSizes ss = sectionSizes(p.m, p.k, p.n, nb, mirror);
@@ -470,33 +464,7 @@ PlanStore::serialize(uint64_t key, const CachedPlan &entry)
     out.resize(sizeof(hdr)); // hash lands after the payload exists
     put(out, p.a.data(), p.a.size());
     put(out, p.w.data(), p.w.size());
-    put(out, plan.act().vectorBlocks(0),
-        static_cast<size_t>(ss.act_blocks));
-    put(out, plan.wgt().vectorBlocks(0),
-        static_cast<size_t>(ss.wgt_blocks));
-    if (mirror)
-        put(out, plan.wgtDenseT(), static_cast<size_t>(ss.wgt_t));
-
-    s2ta_assert(prof.row_nz.size() == static_cast<size_t>(p.m) &&
-                    prof.col_nz.size() ==
-                        static_cast<size_t>(p.n) &&
-                    prof.act_nz_at_k.size() ==
-                        static_cast<size_t>(p.k) &&
-                    prof.wgt_nz_at_k.size() ==
-                        static_cast<size_t>(p.k),
-                "profile vectors do not match the plan dims");
-    put(out, prof.row_nz.data(),
-        prof.row_nz.size() * sizeof(int32_t));
-    put(out, prof.col_nz.data(),
-        prof.col_nz.size() * sizeof(int32_t));
-    put(out, prof.act_nz_at_k.data(),
-        prof.act_nz_at_k.size() * sizeof(int32_t));
-    put(out, prof.wgt_nz_at_k.data(),
-        prof.wgt_nz_at_k.size() * sizeof(int32_t));
-    put(out, &prof.act_nnz, sizeof(int64_t));
-    put(out, &prof.wgt_nnz, sizeof(int64_t));
-    put(out, &prof.matched_products, sizeof(int64_t));
-
+    putDerived(out, plan);
     s2ta_assert(out.size() ==
                     sizeof(hdr) + static_cast<size_t>(ss.payload()),
                 "store image size drifted from sectionSizes");
@@ -536,54 +504,28 @@ PlanStore::deserialize(const uint8_t *data, size_t len,
                           len - sizeof(hdr)) != hdr.payload_hash)
         return nullptr;
 
-    // Validated: hydrate. Each section is one memcpy out of the
-    // image; nothing is parsed or re-derived.
+    // The operands are the plan's content; everything else is
+    // derived from them. Hydrate by building the plan from the
+    // stored operands, and accept the image only when its derived
+    // sections are exactly the rebuilt ones: a stale or inconsistent
+    // writer can then never hand out a plan that a fresh build of
+    // the same operands would not produce.
     const uint8_t *p = data + sizeof(hdr);
     GemmProblem prob(hdr.m, hdr.k, hdr.n);
-    take(p, prob.a.data(), prob.a.size());
-    take(p, prob.w.data(), prob.w.size());
-
-    GemmPlan::Parts parts;
-    parts.bz = hdr.bz;
-    std::vector<DbbBlock> act_blks(
-        static_cast<size_t>(hdr.m) * nb);
-    take(p, act_blks.data(), static_cast<size_t>(ss.act_blocks));
-    std::vector<DbbBlock> wgt_blks(
-        static_cast<size_t>(hdr.n) * nb);
-    take(p, wgt_blks.data(), static_cast<size_t>(ss.wgt_blocks));
-    const DbbSpec spec{hdr.bz, hdr.bz};
-    parts.act = DbbMatrix::fromParts(spec, hdr.m, nb,
-                                     std::move(act_blks));
-    parts.wgt = DbbMatrix::fromParts(spec, hdr.n, nb,
-                                     std::move(wgt_blks));
-    if (mirror) {
-        parts.wgt_t.resize(static_cast<size_t>(ss.wgt_t));
-        take(p, parts.wgt_t.data(), parts.wgt_t.size());
-    }
-    parts.prof.m = hdr.m;
-    parts.prof.k = hdr.k;
-    parts.prof.n = hdr.n;
-    parts.prof.row_nz.resize(static_cast<size_t>(hdr.m));
-    take(p, parts.prof.row_nz.data(),
-         parts.prof.row_nz.size() * sizeof(int32_t));
-    parts.prof.col_nz.resize(static_cast<size_t>(hdr.n));
-    take(p, parts.prof.col_nz.data(),
-         parts.prof.col_nz.size() * sizeof(int32_t));
-    parts.prof.act_nz_at_k.resize(static_cast<size_t>(hdr.k));
-    take(p, parts.prof.act_nz_at_k.data(),
-         parts.prof.act_nz_at_k.size() * sizeof(int32_t));
-    parts.prof.wgt_nz_at_k.resize(static_cast<size_t>(hdr.k));
-    take(p, parts.prof.wgt_nz_at_k.data(),
-         parts.prof.wgt_nz_at_k.size() * sizeof(int32_t));
-    take(p, &parts.prof.act_nnz, sizeof(int64_t));
-    take(p, &parts.prof.wgt_nnz, sizeof(int64_t));
-    take(p, &parts.prof.matched_products, sizeof(int64_t));
-    s2ta_assert(p == data + len, "store image cursor drifted");
-
-    return std::make_shared<const CachedPlan>(
-        std::move(prob), [&parts](const GemmProblem &owned) {
-            return GemmPlan::restore(owned, std::move(parts));
-        });
+    std::memcpy(prob.a.data(), p, prob.a.size());
+    p += prob.a.size();
+    std::memcpy(prob.w.data(), p, prob.w.size());
+    p += prob.w.size();
+    auto entry = std::make_shared<const CachedPlan>(std::move(prob),
+                                                    hdr.bz, mirror);
+    const auto stored = static_cast<size_t>(data + len - p);
+    std::vector<uint8_t> derived;
+    derived.reserve(stored);
+    putDerived(derived, entry->plan);
+    if (derived.size() != stored ||
+        std::memcmp(derived.data(), p, stored) != 0)
+        return nullptr;
+    return entry;
 }
 
 PlanStore::LoadResult
@@ -681,8 +623,12 @@ spillEncode(const CachedPlan &entry)
     putVarint(out, static_cast<uint64_t>(p.n));
     out.push_back(static_cast<uint8_t>(plan.bz()));
     out.push_back(plan.wgtDenseT() != nullptr ? 1 : 0);
-    encodeBlocks(plan.act(), out);
-    encodeBlocks(plan.wgt(), out);
+    encodeBlocks(
+        plan.act(), [&p](int i, int kk) { return p.actAt(i, kk); },
+        out);
+    encodeBlocks(
+        plan.wgt(), [&p](int j, int kk) { return p.wgtAt(kk, j); },
+        out);
     return out;
 }
 
@@ -706,25 +652,18 @@ spillDecode(const uint8_t *data, size_t len)
                 bz);
     const int nb = (k + bz - 1) / bz;
 
-    std::vector<DbbBlock> act_blks(static_cast<size_t>(m) * nb);
-    decodeBlocks(p, end, act_blks);
-    std::vector<DbbBlock> wgt_blks(static_cast<size_t>(n) * nb);
-    decodeBlocks(p, end, wgt_blks);
+    GemmProblem prob(m, k, n);
+    decodeBlocks(p, end, m, nb, bz, k,
+                 [&prob](int i, int kk, int8_t v) {
+                     prob.actAt(i, kk) = v;
+                 });
+    decodeBlocks(p, end, n, nb, bz, k,
+                 [&prob](int j, int kk, int8_t v) {
+                     prob.wgtAt(kk, j) = v;
+                 });
     s2ta_assert(p == end, "trailing bytes in spill image");
-
-    GemmProblem prob =
-        problemFromBlocks(m, k, n, bz, nb, act_blks, wgt_blks);
-    const DbbSpec spec{bz, bz};
-    return std::make_shared<const CachedPlan>(
-        std::move(prob), [&](const GemmProblem &owned) {
-            return GemmPlan::rebuild(
-                owned, bz,
-                DbbMatrix::fromParts(spec, m, nb,
-                                     std::move(act_blks)),
-                DbbMatrix::fromParts(spec, n, nb,
-                                     std::move(wgt_blks)),
-                mirror);
-        });
+    return std::make_shared<const CachedPlan>(std::move(prob), bz,
+                                              mirror);
 }
 
 } // namespace s2ta

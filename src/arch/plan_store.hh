@@ -3,39 +3,40 @@
  * Persistent, cross-process plan store plus the compact spill codec
  * — the two serialized forms of a GemmPlan.
  *
- * The DBB compressed form is weight-static and config-independent:
- * the encoding of a workload depends only on operand content and
- * the block size, never on the array geometry, SMT depth, or
- * sparsity bound under evaluation. A plan encoded once is therefore
- * valid for every future process that sees the same operands, and
- * re-encoding on every invocation (108 cold encodes per sweep, one
- * per distinct workload per serving restart) is pure waste. Two
- * serialized forms exploit this, at opposite points of the
- * size/speed trade:
+ * A plan is derived from its operands alone — the masks, profile
+ * and mirror depend only on operand content and the block size,
+ * never on the array geometry, SMT depth, or sparsity bound under
+ * evaluation — so a plan built once is valid for every future
+ * process that sees the same operands. Two serialized forms exist,
+ * at opposite points of the size/speed trade:
  *
- *  - **Store form** (PlanStore, one file per plan): the full plan —
- *    operands, both DBB block arrays, the dense transposed weight
- *    mirror when materialized, and the OperandProfile — laid out so
- *    every section hydrates with a single memcpy from the mapped
- *    image (base/mapped_file.hh). Nothing is re-derived on load; a
- *    warm start is bounded by memory bandwidth, not encode compute.
+ *  - **Store form** (PlanStore, one file per plan): the operands,
+ *    then the sections derived from them — both mask arrays (one
+ *    byte per block), the dense transposed weight mirror when
+ *    materialized, and the OperandProfile. A load maps the image,
+ *    builds the plan from the stored operands and accepts the image
+ *    only if its derived sections are byte-equal to the rebuilt
+ *    ones, so a hydrated plan always equals a fresh build of its
+ *    operands. What a warm start saves is the im2col lowering that
+ *    produces the operands; the plan itself is rebuilt.
  *  - **Spill form** (spillEncode/spillDecode, in-RAM): the minimum
- *    from which a bit-identical plan can be rebuilt — dims plus the
- *    two block arrays, mask byte + stored values per block, zero
- *    runs run-length coded with varints; operands, mirror, and
- *    profile are all dropped and re-derived on rehydration (the
- *    encodings are lossless, so the operands come back exactly).
- *    This is what PlanCache's spill tier holds evicted entries in.
+ *    from which a bit-identical plan can be rebuilt — dims plus
+ *    both operands in DBB block form (mask byte + stored values per
+ *    block, zero runs run-length coded with varints). Decoding
+ *    reconstructs the dense operands (the encoding is lossless) and
+ *    builds the plan from them. This is what PlanCache's spill tier
+ *    holds evicted entries in.
  *
  * Store files are versioned and checksummed; load() rejects — never
  * trusts — anything that fails validation: short or truncated
  * files, wrong magic, version mismatch after a format bump, key
  * mismatch (a file renamed or hash-colliding), implausible dims,
- * size/dims disagreement, or payload checksum mismatch (bit rot,
- * torn concurrent write on a non-POSIX filesystem). A rejected or
- * absent file is an ordinary cache miss: the caller re-encodes and
- * save() silently replaces the bad file via an atomic temp+rename,
- * so corruption degrades to a cold start, never to wrong results
+ * size/dims disagreement, payload checksum mismatch (bit rot, torn
+ * concurrent write on a non-POSIX filesystem), or derived sections
+ * that disagree with the operands. A rejected or absent file is an
+ * ordinary cache miss: the caller rebuilds and save() silently
+ * replaces the bad file via an atomic temp+rename, so corruption
+ * degrades to a cold start, never to wrong results
  * and never to a fatal error. Readers of one store directory are
  * fully concurrent (files are immutable once published; rename
  * guarantees a reader maps old-or-new, never a mix) and writers
@@ -66,8 +67,10 @@ namespace s2ta {
 
 class FaultInjector;
 
-/** Bump on any layout change; old files are rejected and rebuilt. */
-constexpr uint32_t kPlanStoreVersion = 1;
+/** Bump on any layout change; old files are rejected and rebuilt.
+ *  Version 2 stores one mask byte per block where version 1 stored
+ *  9-byte DBB blocks. */
+constexpr uint32_t kPlanStoreVersion = 2;
 
 /** 4-lane interleaved FNV-1a over @p len bytes (see file comment). */
 uint64_t planStoreChecksum(const void *data, size_t len);
@@ -206,20 +209,20 @@ class PlanStore
 };
 
 /**
- * Spill-form image of @p entry: dims + varint/RLE-coded block
- * arrays only (mask byte + stored values per non-empty block, zero
- * runs length-coded). Typically 3-6x smaller than the entry's
+ * Spill-form image of @p entry: dims + varint/RLE-coded DBB blocks
+ * of both operands (mask byte + stored values per non-empty block,
+ * zero runs length-coded). Typically 3-6x smaller than the entry's
  * resident footprint.
  */
 std::vector<uint8_t> spillEncode(const CachedPlan &entry);
 
 /**
- * Rebuild a full entry from a spill-form image: operands are
- * reconstructed from the lossless encodings, the profile re-derived
- * from the masks, and the dense mirror re-materialized when the
- * entry was built with one — bit-identical to the entry that was
- * spilled. Fatal on a malformed image (spill bytes never leave the
- * process; corruption here is a program bug, not an input).
+ * Rebuild a full entry from a spill-form image: the operands are
+ * reconstructed from the lossless block encoding and the plan is
+ * built from them (with the dense mirror when the entry had one) —
+ * bit-identical to the entry that was spilled. Fatal on a malformed
+ * image (spill bytes never leave the process; corruption here is a
+ * program bug, not an input).
  */
 std::shared_ptr<const CachedPlan> spillDecode(const uint8_t *data,
                                               size_t len);

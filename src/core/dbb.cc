@@ -2,6 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
+
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
 
 namespace s2ta {
 
@@ -161,6 +166,115 @@ DbbMatrix::toDense() const
         }
     }
     return dense;
+}
+
+namespace {
+
+/**
+ * Non-zero bitmap of the @p len bytes at @p src: bit x of the byte
+ * stream @p bits is set iff src[x] != 0. Writes ceil(len / 8)
+ * bytes; bits past @p len stay clear. SSE2 turns 16 bytes into 16
+ * bits with one pcmpeqb and one pmovmskb.
+ */
+void
+nonZeroBits(const int8_t *src, int len, uint8_t *bits)
+{
+    int x = 0;
+#ifdef __SSE2__
+    const __m128i zero = _mm_setzero_si128();
+    for (; x + 16 <= len; x += 16) {
+        const __m128i v = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(src + x));
+        const auto nz = static_cast<uint16_t>(
+            ~_mm_movemask_epi8(_mm_cmpeq_epi8(v, zero)));
+        std::memcpy(bits + x / 8, &nz, sizeof(nz)); // little-endian
+    }
+#endif
+    for (; x < len; x += 8) {
+        const int lim = std::min(8, len - x);
+        Mask8 byte = 0;
+        for (int e = 0; e < lim; ++e) {
+            if (src[x + e] != 0)
+                byte = maskSet(byte, e);
+        }
+        bits[x / 8] = byte;
+    }
+}
+
+} // anonymous namespace
+
+MaskMatrix
+MaskMatrix::fromActivations(const GemmProblem &p, int bz)
+{
+    s2ta_assert(bz >= 1 && bz <= 8, "block size %d", bz);
+    MaskMatrix mm(bz, p.m, p.k);
+    const int nb = mm.n_blocks;
+    // With bz == 8 a row's bitmap is its mask array; other block
+    // sizes cut bz-bit fields out of the bitmap (a field never spans
+    // more than two bytes; the extra zero byte covers the last one).
+    std::vector<uint8_t> bits(bz == 8 ? 0 : (p.k + 7) / 8 + 1);
+    for (int i = 0; i < p.m; ++i) {
+        const int8_t *row = &p.a[static_cast<size_t>(i) * p.k];
+        Mask8 *out = &mm.masks[static_cast<size_t>(i) * nb];
+        if (bz == 8) {
+            nonZeroBits(row, p.k, out);
+            continue;
+        }
+        nonZeroBits(row, p.k, bits.data());
+        for (int b = 0; b < nb; ++b) {
+            const int at = b * bz;
+            const unsigned two =
+                bits[static_cast<size_t>(at / 8)] |
+                (bits[static_cast<size_t>(at / 8 + 1)] << 8);
+            out[b] = static_cast<Mask8>((two >> (at % 8)) &
+                                        ((1u << bz) - 1));
+        }
+    }
+    return mm;
+}
+
+MaskMatrix
+MaskMatrix::fromWeights(const GemmProblem &p, int bz)
+{
+    s2ta_assert(bz >= 1 && bz <= 8, "block size %d", bz);
+    MaskMatrix mm(bz, p.n, p.k);
+    const int nb = mm.n_blocks;
+    // Blocks run down the columns of the K x N operand: OR together
+    // the non-zero flags of a block-row's (up to) bz K-rows, each
+    // flag weighted by its row's bit, 16 columns at a time.
+    for (int b = 0; b < nb; ++b) {
+        const int klim = std::min(bz, p.k - b * bz);
+        const int8_t *rows = &p.w[static_cast<size_t>(b) * bz * p.n];
+        int j = 0;
+#ifdef __SSE2__
+        const __m128i zero = _mm_setzero_si128();
+        for (; j + 16 <= p.n; j += 16) {
+            __m128i acc = zero;
+            for (int e = 0; e < klim; ++e) {
+                const __m128i v = _mm_loadu_si128(
+                    reinterpret_cast<const __m128i *>(
+                        rows + static_cast<size_t>(e) * p.n + j));
+                acc = _mm_or_si128(
+                    acc, _mm_andnot_si128(
+                             _mm_cmpeq_epi8(v, zero),
+                             _mm_set1_epi8(static_cast<char>(1u << e))));
+            }
+            alignas(16) Mask8 col[16];
+            _mm_store_si128(reinterpret_cast<__m128i *>(col), acc);
+            for (int t = 0; t < 16; ++t)
+                mm.masks[static_cast<size_t>(j + t) * nb + b] = col[t];
+        }
+#endif
+        for (; j < p.n; ++j) {
+            Mask8 m = 0;
+            for (int e = 0; e < klim; ++e) {
+                if (rows[static_cast<size_t>(e) * p.n + j] != 0)
+                    m = maskSet(m, e);
+            }
+            mm.masks[static_cast<size_t>(j) * nb + b] = m;
+        }
+    }
+    return mm;
 }
 
 } // namespace s2ta

@@ -107,6 +107,10 @@ bool dbbSatisfies(std::span<const int8_t> dense, const DbbSpec &spec);
  * rows/columns and 'blocks_per_vector' is ceil(K / bz); when bz does
  * not divide K the tail block is zero-padded, which encodes
  * losslessly (padding positions simply stay unset in the mask).
+ *
+ * This is the value-carrying form of Fig. 5, kept for the scalar
+ * oracle engines, which model the datapath element by element. An
+ * execution plan holds only the masks (MaskMatrix below).
  */
 class DbbMatrix
 {
@@ -127,25 +131,6 @@ class DbbMatrix
     static DbbMatrix fromActivations(const GemmProblem &p,
                                      const DbbSpec &spec);
 
-    /**
-     * Reassemble a matrix from already-encoded blocks — the plan
-     * store and spill-tier hydration paths, which recover blocks
-     * from a serialized image instead of re-encoding operands.
-     * @p blks must hold exactly vectors * blocks_per_vector blocks
-     * in vector-major order (the layout vectorBlocks exposes).
-     */
-    static DbbMatrix
-    fromParts(DbbSpec s, int vectors, int blocks_per_vector,
-              std::vector<DbbBlock> blks)
-    {
-        s2ta_assert(blks.size() == static_cast<size_t>(vectors) *
-                                       blocks_per_vector,
-                    "%zu blocks for %d x %d", blks.size(), vectors,
-                    blocks_per_vector);
-        return DbbMatrix(s, vectors, blocks_per_vector,
-                         std::move(blks));
-    }
-
     const DbbSpec &spec() const { return dbb_spec; }
     int vectors() const { return n_vectors; }
     int blocksPerVector() const { return n_blocks; }
@@ -157,28 +142,6 @@ class DbbMatrix
         s2ta_assert(v >= 0 && v < n_vectors && b >= 0 && b < n_blocks,
                     "block (%d, %d)", v, b);
         return blks[static_cast<size_t>(v) * n_blocks + b];
-    }
-
-    /**
-     * Unchecked pointer to the blocks of vector @p v, for the hot
-     * loops (profile derivation, the SMT sampler, the plan
-     * codecs).
-     */
-    const DbbBlock *
-    vectorBlocks(int v) const
-    {
-        return blks.data() + static_cast<size_t>(v) * n_blocks;
-    }
-
-    /** True when expanded position @p kk of vector @p v is non-zero;
-     *  a pure mask test, no value gather. */
-    bool
-    nonZeroAt(int v, int kk) const
-    {
-        const DbbBlock &blk =
-            blks[static_cast<size_t>(v) * n_blocks +
-                 kk / dbb_spec.bz];
-        return (blk.mask >> (kk % dbb_spec.bz)) & 1u;
     }
 
     /**
@@ -211,18 +174,66 @@ class DbbMatrix
           blks(static_cast<size_t>(vectors) * blocks)
     {}
 
-    /** Adopt already-encoded blocks without the zero-fill pass
-     *  (the hydration paths memcpy/decode straight into place). */
-    DbbMatrix(DbbSpec s, int vectors, int blocks,
-              std::vector<DbbBlock> b)
-        : dbb_spec(s), n_vectors(vectors), n_blocks(blocks),
-          blks(std::move(b))
-    {}
-
     DbbSpec dbb_spec;
     int n_vectors = 0;
     int n_blocks = 0;
     std::vector<DbbBlock> blks;
+};
+
+/**
+ * The positional bitmasks of a GEMM operand blocked along K, one
+ * Mask8 per block in vector-major order, without the values. Bit e
+ * of block b of vector v is set iff element b * bz + e of that
+ * vector is non-zero; padding positions past K are never set. The
+ * vectors and block counts are those of DbbMatrix. The event models,
+ * the SMT sampler and the density checks read only these masks; the
+ * arithmetic reads the dense operands.
+ */
+class MaskMatrix
+{
+  public:
+    MaskMatrix() = default;
+
+    /** Masks of the activation operand of @p p (M vectors). */
+    static MaskMatrix fromActivations(const GemmProblem &p, int bz);
+
+    /** Masks of the weight operand of @p p (N vectors). */
+    static MaskMatrix fromWeights(const GemmProblem &p, int bz);
+
+    int bz() const { return blk_bz; }
+    int vectors() const { return n_vectors; }
+    int blocksPerVector() const { return n_blocks; }
+
+    /** All vectors * blocksPerVector() masks, vector-major. */
+    const Mask8 *data() const { return masks.data(); }
+
+    /** The blocksPerVector() masks of vector @p v (unchecked). */
+    const Mask8 *
+    vectorMasks(int v) const
+    {
+        return masks.data() + static_cast<size_t>(v) * n_blocks;
+    }
+
+    /** True when expanded position @p kk of vector @p v is
+     *  non-zero. */
+    bool
+    nonZeroAt(int v, int kk) const
+    {
+        return maskTest(vectorMasks(v)[kk / blk_bz], kk % blk_bz);
+    }
+
+    bool operator==(const MaskMatrix &) const = default;
+
+  private:
+    MaskMatrix(int bz, int vectors, int k)
+        : blk_bz(bz), n_vectors(vectors), n_blocks((k + bz - 1) / bz),
+          masks(static_cast<size_t>(vectors) * n_blocks)
+    {}
+
+    int blk_bz = 8;
+    int n_vectors = 0;
+    int n_blocks = 0;
+    std::vector<Mask8> masks;
 };
 
 } // namespace s2ta

@@ -192,29 +192,29 @@ fuzzConvGemm(Rng &rng)
 
 TEST(GemmKernels, ProfileDerivationMatchesScalarOnConvCorpus)
 {
-    // OperandProfile::fromDbb under the widest cap (VPOPCNTDQ
+    // OperandProfile::fromMasks under the widest cap (VPOPCNTDQ
     // histogram path where supported) vs the forced-scalar per-bit
     // derivation vs the dense reference scan: all three must be
     // bitwise identical over conv-shaped operands. On hosts/builds
     // without the AVX-512 tier both caps run the same loops and the
-    // test degrades to fromDbb-vs-build.
+    // test degrades to fromMasks-vs-build.
     Rng rng(0xF0CC);
-    const DbbSpec dense8{8, 8};
     for (int trial = 0; trial < 12; ++trial) {
         const GemmProblem p = fuzzConvGemm(rng);
-        const DbbMatrix act = DbbMatrix::fromActivations(p, dense8);
-        const DbbMatrix wgt = DbbMatrix::fromWeights(p, dense8);
+        const MaskMatrix act = MaskMatrix::fromActivations(p, 8);
+        const MaskMatrix wgt = MaskMatrix::fromWeights(p, 8);
         const OperandProfile ref = OperandProfile::build(p);
 
         dbbForceKernelCap(DbbKernelKind::Scalar);
         const OperandProfile scalar =
-            OperandProfile::fromDbb(p, act, wgt);
+            OperandProfile::fromMasks(p, act, wgt);
         dbbForceKernelCap(DbbKernelKind::Avx512);
         const OperandProfile simd =
-            OperandProfile::fromDbb(p, act, wgt);
+            OperandProfile::fromMasks(p, act, wgt);
 
-        expectProfilesEqual(simd, scalar, "simd vs scalar fromDbb");
-        expectProfilesEqual(simd, ref, "fromDbb vs dense build");
+        expectProfilesEqual(simd, scalar,
+                            "simd vs scalar fromMasks");
+        expectProfilesEqual(simd, ref, "fromMasks vs dense build");
         if (::testing::Test::HasFailure()) {
             ADD_FAILURE() << "trial " << trial << " m=" << p.m
                           << " k=" << p.k << " n=" << p.n;

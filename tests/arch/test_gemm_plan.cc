@@ -1,4 +1,4 @@
-/** @file Unit tests for the GemmPlan encoding/profile cache and the
+/** @file Unit tests for the GemmPlan masks/profile cache and the
  *  dbbGemm kernels. */
 
 #include <gtest/gtest.h>
@@ -44,21 +44,63 @@ TEST(GemmPlan, MaskProfileMatchesDenseScan)
     }
 }
 
-TEST(GemmPlan, TailBlocksEncodeLosslessly)
+TEST(GemmPlan, MasksMatchOperands)
 {
-    // K not a multiple of bz: the tail block zero-pads, and every
-    // mask bit / value must still match the dense operand.
-    Rng rng(0xA2);
-    const GemmProblem p =
-        makeUnstructuredGemm(5, 21, 7, 0.4, 0.4, rng);
-    const GemmPlan plan = GemmPlan::build(p);
-    EXPECT_EQ(plan.act().blocksPerVector(), 3);
-    for (int i = 0; i < p.m; ++i)
-        for (int kk = 0; kk < p.k; ++kk)
-            EXPECT_EQ(plan.actNonZero(i, kk), p.actAt(i, kk) != 0);
-    for (int j = 0; j < p.n; ++j)
-        for (int kk = 0; kk < p.k; ++kk)
-            EXPECT_EQ(plan.wgtNonZero(kk, j), p.wgtAt(kk, j) != 0);
+    // Every mask bit of both operands is exactly "element != 0",
+    // across K values on both sides of the 8- and 16-byte SIMD
+    // chunk edges, every block size, and the all-zero / all-nonzero
+    // vectors; bits past K (and past bz) are never set. n = 37
+    // covers two 16-column weight chunks plus a scalar tail.
+    Rng rng(0xA5);
+    for (const int k : {1, 7, 8, 9, 15, 16, 17, 63, 64, 65}) {
+        for (int bz = 1; bz <= 8; ++bz) {
+            GemmProblem p(6, k, 37);
+            const double density = rng.uniformReal(0.1, 0.9);
+            const auto draw = [&](bool zero, bool full) -> int8_t {
+                if (zero || (!full && rng.uniformReal(0.0, 1.0) >=
+                                          density))
+                    return 0;
+                // Any non-zero byte, -128 and 127 included.
+                return static_cast<int8_t>(rng.uniformInt(1, 255));
+            };
+            for (int i = 0; i < p.m; ++i)
+                for (int kk = 0; kk < k; ++kk)
+                    p.actAt(i, kk) = draw(i == 0, i == 1);
+            for (int kk = 0; kk < k; ++kk)
+                for (int j = 0; j < p.n; ++j)
+                    p.wgtAt(kk, j) = draw(j == 0, j == 1);
+
+            const GemmPlan plan = GemmPlan::build(p, bz, false);
+            const int nb = (k + bz - 1) / bz;
+            const auto check = [&](const MaskMatrix &mm, int vectors,
+                                   auto nonzero, const char *what) {
+                ASSERT_EQ(mm.bz(), bz);
+                ASSERT_EQ(mm.vectors(), vectors);
+                ASSERT_EQ(mm.blocksPerVector(), nb);
+                for (int v = 0; v < vectors; ++v) {
+                    for (int b = 0; b < nb; ++b) {
+                        for (int e = 0; e < 8; ++e) {
+                            const int kk = b * bz + e;
+                            const bool want =
+                                e < bz && kk < k && nonzero(v, kk);
+                            ASSERT_EQ(maskTest(mm.vectorMasks(v)[b],
+                                               e),
+                                      want)
+                                << what << " k=" << k << " bz=" << bz
+                                << " vector " << v << " block " << b
+                                << " bit " << e;
+                        }
+                    }
+                }
+            };
+            check(plan.act(), p.m,
+                  [&](int i, int kk) { return p.actAt(i, kk) != 0; },
+                  "act");
+            check(plan.wgt(), p.n,
+                  [&](int j, int kk) { return p.wgtAt(kk, j) != 0; },
+                  "wgt");
+        }
+    }
 }
 
 TEST(GemmPlan, DenseMirrorIsBuiltWheneverRequested)

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "arch/array_model.hh"
+#include "arch/gemm_plan.hh"
+#include "tensor/conv.hh"
+#include "workload/model_workloads.hh"
 #include "workload/sparse_gen.hh"
 
 namespace s2ta {
@@ -65,6 +68,50 @@ TEST(OperandProfile, MatchedProductsIdentity)
     // DBB 2/8 activations: exactly 2 per block per row.
     EXPECT_EQ(prof.act_nnz, 10ll * (40 / 8) * 2);
     EXPECT_EQ(prof.wgt_nnz, 6ll * (40 / 8) * 4);
+}
+
+TEST(OperandProfile, FromMasksMatchesBuildOnEveryZooLayer)
+{
+    // The mask-derived profile (what every plan carries) against
+    // the reference dense scan, on every lowered group of every
+    // layer of the zoo, under every kernel cap (the cap decides
+    // whether the VPOPCNTDQ derivation may run).
+    for (const char *name :
+         {"lenet5", "alexnet", "vgg16", "mobilenetv1", "resnet50"}) {
+        Rng rng(0x2F0);
+        const ModelWorkload mw =
+            buildModelWorkload(modelByName(name), rng);
+        for (const LayerWorkload &wl : mw.layers) {
+            const std::vector<GemmProblem> groups = im2colLowerAll(
+                wl.shape, wl.input, wl.weights, 8, wl.batch);
+            for (size_t g = 0; g < groups.size(); ++g) {
+                const GemmProblem &p = groups[g];
+                const OperandProfile ref = OperandProfile::build(p);
+                const MaskMatrix act = MaskMatrix::fromActivations(p, 8);
+                const MaskMatrix wgt = MaskMatrix::fromWeights(p, 8);
+                for (const DbbKernelKind cap :
+                     {DbbKernelKind::Scalar, DbbKernelKind::Avx2,
+                      DbbKernelKind::Avx512}) {
+                    dbbForceKernelCap(cap);
+                    const OperandProfile got =
+                        OperandProfile::fromMasks(p, act, wgt);
+                    dbbForceKernelCap(DbbKernelKind::Avx512);
+                    const bool same =
+                        got.m == ref.m && got.k == ref.k &&
+                        got.n == ref.n && got.row_nz == ref.row_nz &&
+                        got.col_nz == ref.col_nz &&
+                        got.act_nz_at_k == ref.act_nz_at_k &&
+                        got.wgt_nz_at_k == ref.wgt_nz_at_k &&
+                        got.act_nnz == ref.act_nnz &&
+                        got.wgt_nnz == ref.wgt_nnz &&
+                        got.matched_products == ref.matched_products;
+                    ASSERT_TRUE(same)
+                        << name << " layer " << wl.name << " group "
+                        << g << " cap " << dbbKernelKindName(cap);
+                }
+            }
+        }
+    }
 }
 
 } // anonymous namespace

@@ -62,8 +62,8 @@ writeFile(const std::string &path, const std::vector<uint8_t> &bytes)
     EXPECT_TRUE(out.good()) << path;
 }
 
-/** Full structural equality of two cache entries: operands, block
- *  arrays, mirror, profile, and the functional output. */
+/** Full structural equality of two cache entries: operands, masks,
+ *  mirror, profile, and the functional output. */
 void
 expectEntriesEqual(const CachedPlan &a, const CachedPlan &b)
 {
@@ -75,18 +75,8 @@ expectEntriesEqual(const CachedPlan &a, const CachedPlan &b)
 
     ASSERT_TRUE(a.plan.encoded() && b.plan.encoded());
     ASSERT_EQ(a.plan.bz(), b.plan.bz());
-    const auto expect_blocks_equal = [](const DbbMatrix &x,
-                                        const DbbMatrix &y) {
-        ASSERT_EQ(x.vectors(), y.vectors());
-        ASSERT_EQ(x.blocksPerVector(), y.blocksPerVector());
-        EXPECT_EQ(std::memcmp(x.vectorBlocks(0), y.vectorBlocks(0),
-                              static_cast<size_t>(x.vectors()) *
-                                  x.blocksPerVector() *
-                                  sizeof(DbbBlock)),
-                  0);
-    };
-    expect_blocks_equal(a.plan.act(), b.plan.act());
-    expect_blocks_equal(a.plan.wgt(), b.plan.wgt());
+    EXPECT_TRUE(a.plan.act() == b.plan.act());
+    EXPECT_TRUE(a.plan.wgt() == b.plan.wgt());
 
     ASSERT_EQ(a.plan.wgtDenseT() != nullptr,
               b.plan.wgtDenseT() != nullptr);

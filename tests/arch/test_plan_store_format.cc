@@ -125,7 +125,7 @@ TEST(PlanStoreFormat, HeaderByteSweepPinsTheRejectSet)
     // Bytes 0..40 are load-bearing (magic, version, key, payload
     // hash, dims, the mirror flag bit): flipping any of them must
     // reject. Bytes 41..43 (undefined flag bits) and 44..47
-    // (reserved) are ignored by a version-1 reader, so flips there
+    // (reserved) are ignored by the current reader, so flips there
     // must still hydrate — that tolerance is what lets a future
     // version assign them meaning without stranding old files.
     for (size_t off = 0; off < 48; ++off) {
@@ -191,6 +191,42 @@ TEST(PlanStoreFormat, CorruptFileIsQuarantinedNotFatal)
     ASSERT_NE(hit.entry, nullptr);
     EXPECT_FALSE(hit.rejected);
     expectSameImage(entry, *hit.entry, key);
+}
+
+TEST(PlanStoreFormat, SpillBytesArePinned)
+{
+    // The spill codec's byte format (mask byte + stored values per
+    // block, zero runs varint-coded) is kSpillVersion 1 and carries
+    // no version bump: these digests were recorded when plans still
+    // held DBB value arrays, and spillEncode — which now reads the
+    // values from the dense operands — must reproduce them exactly.
+    struct Case
+    {
+        const char *what;
+        CachedPlan entry;
+        size_t len;
+        uint64_t digest;
+    };
+    Rng odd_rng(0x5A11);
+    GemmProblem odd = makeUnstructuredGemm(7, 37, 11, 0.5, 0.7, odd_rng);
+    const Case cases[] = {
+        {"golden", goldenEntry(), 295, 0x6c21fde36468f5d8ull},
+        {"golden + mirror",
+         CachedPlan(GemmProblem(goldenEntry().problem), 8, true), 295,
+         0x4c16fde36468f5d8ull},
+        {"bz 3, K tail, mirror", CachedPlan(std::move(odd), 3, true),
+         552, 0x59488455a013f1d6ull},
+    };
+    for (const Case &c : cases) {
+        const std::vector<uint8_t> bytes = spillEncode(c.entry);
+        EXPECT_EQ(bytes.size(), c.len) << c.what;
+        EXPECT_EQ(PlanCache::hashBytes(bytes.data(), bytes.size()),
+                  c.digest)
+            << c.what;
+        // And the pinned bytes decode back to the same entry.
+        const auto back = spillDecode(bytes.data(), bytes.size());
+        expectSameImage(c.entry, *back, 0);
+    }
 }
 
 TEST(PlanStoreFormat, GoldenFixtureLoadsThroughAStore)
