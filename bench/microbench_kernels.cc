@@ -215,6 +215,19 @@ BM_DapPrune(benchmark::State &state)
 }
 BENCHMARK(BM_DapPrune)->Unit(benchmark::kMillisecond);
 
+/** The path every functional S2TA-AW layer runs: checking an input
+ *  that already meets its A-DBB bound, without copying it. */
+void
+BM_DapCheckCompliant(benchmark::State &state)
+{
+    Rng rng(8);
+    const Int8Tensor t = makeDbbTensor({56, 56, 128}, 3, rng);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(dapCheckTensor(t, 3));
+    state.SetBytesProcessed(state.iterations() * t.size());
+}
+BENCHMARK(BM_DapCheckCompliant)->Unit(benchmark::kMillisecond);
+
 void
 BM_WeightPrune(benchmark::State &state)
 {

@@ -301,11 +301,12 @@ Accelerator::executePrepared(const PreparedLayer &prep,
     // the activation SRAM; its comparator activity belongs to the
     // S2TA-AW design only (other designs have no DAP hardware). The
     // counts depend only on (tensor content, NNZ bound) — not on
-    // the array geometry — so sweeps memoize them per layer.
+    // the array geometry — so sweeps memoize them per layer. The
+    // input must already satisfy its bound, so the pass only counts
+    // (dapCheckTensor) and leaves the tensor alone.
     if (acfg.kind == ArchKind::S2taAw && wl.act_nnz < acfg.bz) {
-        const auto prune = [&] {
-            Int8Tensor copy = wl.input;
-            return dapPruneTensor(copy, wl.act_nnz);
+        const auto check = [&] {
+            return dapCheckTensor(wl.input, wl.act_nnz);
         };
         const DapStats ds =
             prep.use_cache
@@ -314,8 +315,8 @@ Accelerator::executePrepared(const PreparedLayer &prep,
                           PlanCache::combine(0x444150ull,
                                              prep.input_hash),
                           static_cast<uint64_t>(wl.act_nnz)),
-                      prune)
-                : prune();
+                      check)
+                : check();
         lr.events.dap_comparisons = ds.comparisons;
         s2ta_assert(ds.nonzeros_dropped == 0,
                     "layer '%s' input does not satisfy its declared "

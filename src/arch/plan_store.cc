@@ -302,11 +302,13 @@ PlanStore::quarantine(const std::string &path) const
     // Rename, not delete: the corrupt bytes stay inspectable, and
     // the ".quar" suffix guarantees load() never maps them again
     // (it only ever opens the exact ".s2ta" path). Racing
-    // quarantiners are benign — the loser's rename fails because
-    // the source is already gone.
+    // quarantiners are benign: when two loaders reject the same
+    // file, the loser's rename fails with ENOENT because the winner
+    // already moved the source aside. That rejection is quarantined
+    // all the same, so it counts too.
     std::error_code ec;
     std::filesystem::rename(path, path + ".quar", ec);
-    if (!ec)
+    if (!ec || ec == std::errc::no_such_file_or_directory)
         n_quarantined.fetch_add(1, std::memory_order_relaxed);
 }
 

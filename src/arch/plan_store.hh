@@ -125,7 +125,11 @@ class PlanStore
     {
         int64_t loads = 0;        ///< load() calls
         int64_t rejects = 0;      ///< files that failed validation
-        int64_t quarantined = 0;  ///< corrupt files renamed aside
+        /** Rejected files moved aside, counting a rejection whose
+         *  file a racing loader already renamed (the source is gone),
+         *  so concurrent loads of one corrupt key keep
+         *  quarantined == rejects. */
+        int64_t quarantined = 0;
         int64_t read_faults = 0;  ///< injected open/map failures
         int64_t saves = 0;        ///< successful publishes
         int64_t save_failures = 0;///< failed saves (I/O or injected)

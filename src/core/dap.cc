@@ -66,12 +66,22 @@ DapUnit::process(std::span<const int8_t> block, int nnz) const
 namespace {
 
 /**
- * Prune contiguous channel vectors of length @p vec_len inside a
- * flat buffer, accumulating DAP statistics.
+ * Run DAP over contiguous channel vectors of length @p vec_len in
+ * @p in, accumulating its statistics. When @p out is non-null (it
+ * may alias @p in) each over-bound block's pruned values are written
+ * there; compliant blocks are left as they are.
+ *
+ * One pass per block takes its non-zero count and its integer sum of
+ * squares together. Squares of int8 values are exact integers, so
+ * the int64 L2 sums divided once at the end give the same double as
+ * summing element magnitudes in double. A block with at most `bound`
+ * non-zeros (always the case for a bypassed one) skips the Top-NNZ
+ * selection, which would keep exactly its non-zeros; a cascaded one
+ * still pays the comparators.
  */
 DapStats
-dapPruneContiguous(int8_t *data, int64_t count, int vec_len, int nnz,
-                   const DapConfig &cfg)
+dapPruneContiguous(const int8_t *in, int8_t *out, int64_t count,
+                   int vec_len, int nnz, const DapConfig &cfg)
 {
     s2ta_assert(cfg.supports(nnz), "unsupported NNZ %d", nnz);
     s2ta_assert(count % vec_len == 0,
@@ -79,50 +89,56 @@ dapPruneContiguous(int8_t *data, int64_t count, int vec_len, int nnz,
                 count, vec_len);
 
     DapStats stats;
-    double l2_before = 0.0, l2_after = 0.0;
+    int64_t l2_before = 0, l2_after = 0;
     const bool bypass = (nnz == cfg.bz);
 
     for (int64_t base = 0; base < count; base += vec_len) {
         for (int off = 0; off < vec_len; off += cfg.bz) {
             const int len = std::min(cfg.bz, vec_len - off);
             const int bound = std::min(nnz, len);
-            std::span<int8_t> blk(data + base + off,
-                                  static_cast<size_t>(len));
+            const int8_t *blk = in + base + off;
 
-            for (int8_t v : blk) {
-                if (v != 0) {
-                    ++stats.nonzeros_before;
-                    const double m = elemMagnitude(v);
-                    l2_before += m * m;
-                }
+            int nz = 0;
+            int64_t sq = 0;
+            for (int i = 0; i < len; ++i) {
+                const int v = blk[i];
+                nz += v != 0;
+                sq += v * v;
             }
+            stats.nonzeros_before += nz;
+            l2_before += sq;
 
             if (bypass || bound >= len) {
                 ++stats.bypassed_blocks;
-                for (int8_t v : blk) {
-                    const double m = elemMagnitude(v);
-                    l2_after += m * m;
-                }
+            } else {
+                ++stats.blocks;
+                stats.comparisons +=
+                    static_cast<int64_t>(bound) * (len - 1);
+            }
+            if (nz <= bound) {
+                l2_after += sq;
                 continue;
             }
 
-            ++stats.blocks;
-            stats.comparisons +=
-                static_cast<int64_t>(bound) * (len - 1);
-            const Mask8 keep =
-                topNnzMask(std::span<const int8_t>(blk), bound);
-            for (size_t i = 0; i < blk.size(); ++i) {
-                const double m = elemMagnitude(blk[i]);
-                if (maskTest(keep, static_cast<int>(i))) {
-                    l2_after += m * m;
-                } else if (blk[i] != 0) {
-                    ++stats.nonzeros_dropped;
-                }
+            const Mask8 keep = topNnzMask(
+                std::span<const int8_t>(blk, static_cast<size_t>(len)),
+                bound);
+            for (int i = 0; i < len; ++i) {
+                if (maskTest(keep, i))
+                    l2_after += blk[i] * blk[i];
             }
-            applyKeepMask(blk, keep);
+            stats.nonzeros_dropped += nz - maskPopcount(keep);
+            if (out != nullptr) {
+                applyKeepMask(std::span<int8_t>(out + base + off,
+                                                static_cast<size_t>(len)),
+                              keep);
+            }
         }
     }
-    stats.l2_retained = l2_before > 0.0 ? l2_after / l2_before : 1.0;
+    stats.l2_retained =
+        l2_before > 0 ? static_cast<double>(l2_after) /
+                            static_cast<double>(l2_before)
+                      : 1.0;
     return stats;
 }
 
@@ -132,15 +148,23 @@ DapStats
 dapPruneTensor(Int8Tensor &t, int nnz, const DapConfig &cfg)
 {
     s2ta_assert(t.rank() >= 1, "rank-0 tensor");
-    const int channels = t.dim(t.rank() - 1);
-    return dapPruneContiguous(t.data(), t.size(), channels, nnz, cfg);
+    return dapPruneContiguous(t.data(), t.data(), t.size(),
+                              t.dim(t.rank() - 1), nnz, cfg);
+}
+
+DapStats
+dapCheckTensor(const Int8Tensor &t, int nnz, const DapConfig &cfg)
+{
+    s2ta_assert(t.rank() >= 1, "rank-0 tensor");
+    return dapPruneContiguous(t.data(), nullptr, t.size(),
+                              t.dim(t.rank() - 1), nnz, cfg);
 }
 
 DapStats
 dapPruneActivations(GemmProblem &p, int nnz, const DapConfig &cfg)
 {
     s2ta_assert(p.k % cfg.bz == 0, "K=%d vs bz=%d", p.k, cfg.bz);
-    return dapPruneContiguous(p.a.data(),
+    return dapPruneContiguous(p.a.data(), p.a.data(),
                               static_cast<int64_t>(p.a.size()), p.k,
                               nnz, cfg);
 }
@@ -150,8 +174,7 @@ chooseLayerNnz(const Int8Tensor &activations, double min_l2_retention,
                const DapConfig &cfg)
 {
     for (int nnz = 1; nnz <= cfg.max_stages; ++nnz) {
-        Int8Tensor copy = activations;
-        const DapStats st = dapPruneTensor(copy, nnz, cfg);
+        const DapStats st = dapCheckTensor(activations, nnz, cfg);
         if (st.l2_retained >= min_l2_retention)
             return nnz;
     }

@@ -109,6 +109,15 @@ class DapUnit
 DapStats dapPruneTensor(Int8Tensor &t, int nnz,
                         const DapConfig &cfg = DapConfig{});
 
+/**
+ * The statistics dapPruneTensor() would report for @p t, without
+ * modifying it. Use it where only the counters are needed, such as
+ * checking that an input already satisfies its declared bound
+ * (nonzeros_dropped == 0).
+ */
+DapStats dapCheckTensor(const Int8Tensor &t, int nnz,
+                        const DapConfig &cfg = DapConfig{});
+
 /** GEMM-level variant for synthetic microbenchmark operands. */
 DapStats dapPruneActivations(GemmProblem &p, int nnz,
                              const DapConfig &cfg = DapConfig{});

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "arch/accelerator.hh"
+#include "arch/plan_cache.hh"
 #include "workload/model_workloads.hh"
 #include "workload/sparse_gen.hh"
 
@@ -154,6 +155,104 @@ TEST(Accelerator, LeNetWorkloadEndToEnd)
         EXPECT_GT(nr.total.cycles, 0);
         EXPECT_EQ(nr.dense_macs, mw.spec.totalMacs());
     }
+}
+
+/**
+ * A 1x1 stride-2 layer whose input breaks its declared 2/8 A-DBB
+ * bound only at pixel (1, 1), which the convolution never reads. The
+ * lowered GEMM therefore passes the array model's own activation
+ * check, and the layer-level DAP check is what must catch the input.
+ * With @p violate false the same layer is compliant.
+ */
+LayerWorkload
+unreadViolationLayer(bool violate)
+{
+    Rng rng(8);
+    LayerWorkload wl;
+    wl.name = "unread_violation";
+    wl.shape = {16, 8, 8, 8, 1, 1, 2, 0, 1};
+    wl.act_nnz = 2;
+    wl.wgt_nnz = 4;
+    wl.input = makeDbbTensor({8, 8, 16}, 2, rng);
+    if (violate) {
+        for (int c = 0; c < 8; ++c)
+            wl.input(1, 1, c) = static_cast<int8_t>(c + 1);
+    }
+    const Int8Tensor tmp = makeDbbTensor({1, 1, 8, 16}, 4, rng);
+    wl.weights = Int8Tensor({1, 1, 16, 8});
+    for (int c = 0; c < 16; ++c)
+        for (int oc = 0; oc < 8; ++oc)
+            wl.weights(0, 0, c, oc) = tmp(0, 0, oc, c);
+    return wl;
+}
+
+/** The key executePrepared memoizes a layer's DAP statistics under. */
+uint64_t
+dapMemoKey(const LayerWorkload &wl)
+{
+    return PlanCache::combine(
+        PlanCache::combine(
+            0x444150ull,
+            PlanCache::hashBytes(wl.input.data(),
+                                 static_cast<size_t>(wl.input.size()))),
+        static_cast<uint64_t>(wl.act_nnz));
+}
+
+constexpr const char *kBoundMsg =
+    "does not satisfy its declared A-DBB bound";
+
+TEST(AcceleratorDeath, InputBreakingActBoundPanicsUncached)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const LayerWorkload wl = unreadViolationLayer(true);
+    EXPECT_DEATH(
+        {
+            const Accelerator acc(configFor(ArrayConfig::s2taAw(2)));
+            acc.runLayer(wl);
+        },
+        kBoundMsg);
+}
+
+TEST(AcceleratorDeath, InputBreakingActBoundPanicsThroughDapMemo)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // The memo key is pinned first: a compliant twin primed under
+    // dapMemoKey() must be served from the memo.
+    {
+        const LayerWorkload ok = unreadViolationLayer(false);
+        PlanCache cache;
+        cache.dapStats(dapMemoKey(ok),
+                       [&] { return dapCheckTensor(ok.input, 2); });
+        NetworkRunOptions opt;
+        opt.plan_cache = &cache;
+        const Accelerator acc(configFor(ArrayConfig::s2taAw(2)));
+        EXPECT_GT(acc.runLayer(ok, opt).events.dap_comparisons, 0);
+        EXPECT_EQ(cache.stats().dap_hits, 1);
+    }
+
+    const LayerWorkload wl = unreadViolationLayer(true);
+    // Memo miss: the check runs inside PlanCache::dapStats.
+    EXPECT_DEATH(
+        {
+            PlanCache cache;
+            NetworkRunOptions opt;
+            opt.plan_cache = &cache;
+            const Accelerator acc(configFor(ArrayConfig::s2taAw(2)));
+            acc.runLayer(wl, opt);
+        },
+        kBoundMsg);
+    // Memo hit: stats memoized earlier still trip the check.
+    EXPECT_DEATH(
+        {
+            PlanCache cache;
+            cache.dapStats(dapMemoKey(wl),
+                           [&] { return dapCheckTensor(wl.input, 2); });
+            NetworkRunOptions opt;
+            opt.plan_cache = &cache;
+            const Accelerator acc(configFor(ArrayConfig::s2taAw(2)));
+            acc.runLayer(wl, opt);
+        },
+        kBoundMsg);
 }
 
 } // anonymous namespace

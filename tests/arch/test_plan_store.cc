@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -513,6 +514,42 @@ TEST(PlanStore, InjectedBitFlipQuarantinesOnceAndRebuilds)
     EXPECT_EQ(res.files, 1);
     EXPECT_EQ(countFilesContaining(dir, ".quar"), 0);
     EXPECT_EQ(clean.stats().quarantine_removed, 1);
+}
+
+TEST(PlanStore, ConcurrentRejectsOfOneKeyAllQuarantine)
+{
+    // Two loaders share one store handle and reject the same corrupt
+    // file at once. Whichever renames it second finds the source
+    // gone; that rejection still counts as quarantined, so the
+    // counters reconcile exactly however the two interleave.
+    const std::string dir = storeDir("quar_race");
+    PlanStore store(dir);
+    const GemmProblem p = smallGemm(0x5b, 64, 256, 64);
+    const uint64_t key = PlanCache::fingerprint(p);
+    ASSERT_TRUE(store.save(key, CachedPlan(p, 8, true)));
+    auto bad = readFile(store.pathFor(key));
+    bad[bad.size() - 1] ^= 0x01; // trips the payload checksum
+
+    constexpr int kRounds = 200;
+    for (int round = 0; round < kRounds; ++round) {
+        writeFile(store.pathFor(key), bad);
+        std::atomic<int> ready{0};
+        const auto loader = [&] {
+            ready.fetch_add(1);
+            while (ready.load() < 2) {
+            }
+            EXPECT_EQ(store.load(key).entry, nullptr);
+        };
+        std::thread a(loader), b(loader);
+        a.join();
+        b.join();
+        EXPECT_FALSE(std::filesystem::exists(store.pathFor(key)))
+            << "round " << round;
+    }
+    const PlanStore::Stats st = store.stats();
+    EXPECT_GE(st.rejects, kRounds);
+    EXPECT_EQ(st.quarantined, st.rejects);
+    EXPECT_EQ(countFilesContaining(dir, ".quar"), 1);
 }
 
 TEST(PlanStore, CompactEnforcesSizeCap)
