@@ -296,9 +296,10 @@ benchFlagList()
 }
 
 /**
- * SIMD dispatch tiers usable on this host *and* build, for --simd
- * error messages ("avx512" needs both -DS2TA_ENABLE_X86_64_V4 and
- * AVX-512 VNNI silicon; "avx2" needs the v2 build).
+ * SIMD dispatch tiers usable on this host, for --simd error
+ * messages. Every x86-64 build compiles every tier, so the CPU
+ * decides: "avx512" needs AVX-512 BW + VNNI, "avx2" needs AVX2.
+ * Other targets offer "scalar" alone.
  */
 inline std::string
 benchSupportedSimdTiers()

@@ -163,7 +163,7 @@ void
 BM_ProfileDerivationTier(benchmark::State &state)
 {
     const bool simd = state.range(0) != 0;
-    if (simd && !dbbVpopcntKernelSupportedImpl()) {
+    if (simd && !dbbProfileSimdEnabled()) {
         state.SkipWithError("no AVX512-VPOPCNTDQ on this "
                             "host/build");
         return;

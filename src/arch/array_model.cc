@@ -65,12 +65,15 @@ namespace {
  * loops. Tail padding positions (>= k) are never set in any mask.
  */
 int32_t
-profileVector(const Mask8 *masks, int nb, int bz, bool simd,
-              int32_t *hist, int k)
+profileVector(const Mask8 *masks, int nb, int bz,
+              [[maybe_unused]] bool simd, int32_t *hist,
+              [[maybe_unused]] int k)
 {
+#if defined(__x86_64__)
     if (simd && bz == 8)
         return static_cast<int32_t>(
             dbbProfileVectorAvx512(masks, nb, hist, k));
+#endif
     int32_t nz = 0;
     for (int b = 0; b < nb; ++b) {
         nz += maskPopcount(masks[b]);

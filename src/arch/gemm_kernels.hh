@@ -4,15 +4,14 @@
  * tiers and the AVX-512 profile sub-kernel.
  *
  * Each SIMD tier lives in its own translation unit compiled with
- * exactly the ISA it needs (see S2TA_ENABLE_X86_64_V2/V4 in
- * CMakeLists.txt); this header carries only declarations so
- * including it never instantiates code under a raised ISA. Callers
- * go through dbbGemm() and dbbActiveKernel() in gemm_plan.hh — these
- * symbols are exposed for the dispatcher, the kernel property tests
- * (every compiled-in tier against gemmReference) and the
- * microbenchmarks. When a tier is compiled out (option off, or a
- * non-x86 target) its entry point is an alias of the baseline tier
- * and its probe reports unsupported, so the symbols always link.
+ * exactly the ISA it needs (see CMakeLists.txt); this header carries
+ * only declarations so including it never instantiates code under a
+ * raised ISA. Callers go through dbbGemm() and dbbActiveKernel() in
+ * gemm_plan.hh — these symbols are exposed for the dispatcher, the
+ * kernel property tests (every tier against gemmReference) and the
+ * microbenchmarks. On x86-64 every tier is compiled and cpuid
+ * chooses among them; other targets compile the baseline tier only,
+ * and the SIMD symbols below are not declared there.
  */
 
 #ifndef S2TA_ARCH_GEMM_KERNELS_HH
@@ -46,11 +45,17 @@ using DenseGemmRowsFn = void (*)(const int8_t *a, const int8_t *wt,
 void denseGemmRowsBase(const int8_t *a, const int8_t *wt, int k, int n,
                        int row_begin, int row_end, int32_t *out);
 
+/** The entry point of tier @p kind, bypassing the dispatcher's cap
+ *  (the caller checks dbbKernelSupported first). */
+DenseGemmRowsFn denseGemmRowsFor(DbbKernelKind kind);
+
+#if defined(__x86_64__)
+
 /** AVX2 tier (gemm_kernels_avx2.cc): vpmovsxbw + vpmaddwd. */
 void denseGemmRowsAvx2(const int8_t *a, const int8_t *wt, int k, int n,
                        int row_begin, int row_end, int32_t *out);
 
-/** True when the AVX2 tier is compiled in and this CPU has it. */
+/** True when this CPU has AVX2. */
 bool dbbAvx2KernelSupportedImpl();
 
 /**
@@ -62,13 +67,8 @@ void denseGemmRowsAvx512(const int8_t *a, const int8_t *wt, int k,
                          int n, int row_begin, int row_end,
                          int32_t *out);
 
-/** True when the AVX-512 tier is compiled in and this CPU has
- *  avx512bw + avx512vnni. */
+/** True when this CPU has avx512bw + avx512vnni. */
 bool dbbAvx512KernelSupportedImpl();
-
-/** The entry point of tier @p kind, bypassing the dispatcher's cap
- *  (the caller checks dbbKernelSupported first). */
-DenseGemmRowsFn denseGemmRowsFor(DbbKernelKind kind);
 
 /**
  * VPOPCNTDQ profile derivation (sub-feature of the AVX-512 tier):
@@ -84,9 +84,10 @@ DenseGemmRowsFn denseGemmRowsFor(DbbKernelKind kind);
 int64_t dbbProfileVectorAvx512(const Mask8 *masks, int nblocks,
                                int32_t *hist, int hist_len);
 
-/** True when the VPOPCNTDQ profile path is compiled in and this CPU
- *  has avx512vpopcntdq + avx512bw. */
+/** True when this CPU has avx512vpopcntdq + avx512bw. */
 bool dbbVpopcntKernelSupportedImpl();
+
+#endif // __x86_64__
 
 } // namespace s2ta
 

@@ -9,27 +9,22 @@
  * sum — bit-identical to gemmReference (property-tested in
  * tests/arch/test_gemm_kernels.cc).
  *
- * This translation unit is the only one compiled with AVX2 codegen
- * (see S2TA_ENABLE_X86_64_V2 in CMakeLists.txt). Callers reach it
- * through dbbActiveKernel()'s runtime dispatch. The SIMD branch must
- * not call inline functions from shared headers: a comdat copy
- * compiled here could be kept by the linker for the whole program
- * and break the runtime fallback on older CPUs (gemm_blocked.hh is
+ * Every x86-64 build compiles this translation unit, and it is the
+ * only one compiled with AVX2 codegen (-mavx2, see CMakeLists.txt).
+ * Callers reach it through dbbActiveKernel()'s runtime dispatch,
+ * which takes it only when cpuid reports AVX2. Its code must not
+ * call inline functions from shared headers: a comdat copy compiled
+ * here could be kept by the linker for the whole program and break
+ * the runtime fallback on older CPUs (gemm_blocked.hh is
  * internal-linkage templates only).
  */
 
-#include "arch/gemm_kernels.hh"
-
-#if defined(S2TA_X86_64_V2) && defined(__AVX2__)
 #include <immintrin.h>
 
 #include "arch/gemm_blocked.hh"
-#define S2TA_HAVE_SIMD_AVX2 1
-#endif
+#include "arch/gemm_kernels.hh"
 
 namespace s2ta {
-
-#ifdef S2TA_HAVE_SIMD_AVX2
 
 namespace {
 
@@ -135,26 +130,5 @@ dbbAvx2KernelSupportedImpl()
 {
     return __builtin_cpu_supports("avx2");
 }
-
-#else // !S2TA_HAVE_SIMD_AVX2
-
-// Built without the x86-64-v2 option (or on a target without AVX2
-// codegen): keep the symbols so the dispatcher links, but report
-// the tier unavailable — dbbActiveKernel() then stays on the
-// baseline tier and this alias is never called in anger.
-void
-denseGemmRowsAvx2(const int8_t *a, const int8_t *wt, int k, int n,
-                  int row_begin, int row_end, int32_t *out)
-{
-    denseGemmRowsBase(a, wt, k, n, row_begin, row_end, out);
-}
-
-bool
-dbbAvx2KernelSupportedImpl()
-{
-    return false;
-}
-
-#endif // S2TA_HAVE_SIMD_AVX2
 
 } // namespace s2ta

@@ -17,31 +17,23 @@
  *
  * Both are property-tested in tests/arch/test_gemm_kernels.cc.
  *
- * This translation unit is the only one compiled with AVX-512
- * codegen (see S2TA_ENABLE_X86_64_V4 in CMakeLists.txt). Each
+ * Every x86-64 build compiles this translation unit, and it is the
+ * only one compiled with AVX-512 codegen (see CMakeLists.txt). Each
  * sub-kernel probes its own cpuid bits, so a CPU with VNNI but no
- * VPOPCNTDQ still gets the GEMM tier. Like the AVX2 tier, the SIMD
- * branch must not call inline functions from shared headers: a
- * comdat copy compiled here could be kept by the linker for the
- * whole program and break the runtime fallback on older CPUs.
+ * VPOPCNTDQ still gets the GEMM tier. Like the AVX2 tier, its code
+ * must not call inline functions from shared headers: a comdat copy
+ * compiled here could be kept by the linker for the whole program
+ * and break the runtime fallback on older CPUs.
  */
 
-#include "arch/gemm_kernels.hh"
+#include <immintrin.h>
 
 #include <cstring>
 
-#if defined(S2TA_X86_64_V4) && defined(__AVX512F__) &&                \
-    defined(__AVX512BW__) && defined(__AVX512VNNI__) &&               \
-    defined(__AVX512VPOPCNTDQ__)
-#include <immintrin.h>
-
 #include "arch/gemm_blocked.hh"
-#define S2TA_HAVE_SIMD_AVX512 1
-#endif
+#include "arch/gemm_kernels.hh"
 
 namespace s2ta {
-
-#ifdef S2TA_HAVE_SIMD_AVX512
 
 namespace {
 
@@ -238,47 +230,5 @@ dbbVpopcntKernelSupportedImpl()
     return __builtin_cpu_supports("avx512vpopcntdq") &&
            __builtin_cpu_supports("avx512bw");
 }
-
-#else // !S2TA_HAVE_SIMD_AVX512
-
-// Built without the x86-64-v4 option (or on a target without
-// AVX-512 codegen): keep the symbols so the dispatcher links, but
-// report every sub-feature unavailable — dbbActiveKernel() then
-// falls through to the AVX2 or baseline tier and these aliases are
-// never called in anger.
-void
-denseGemmRowsAvx512(const int8_t *a, const int8_t *wt, int k, int n,
-                    int row_begin, int row_end, int32_t *out)
-{
-    denseGemmRowsBase(a, wt, k, n, row_begin, row_end, out);
-}
-
-bool
-dbbAvx512KernelSupportedImpl()
-{
-    return false;
-}
-
-int64_t
-dbbProfileVectorAvx512(const Mask8 *masks, int nblocks,
-                       int32_t *hist, int hist_len)
-{
-    (void)hist_len;
-    int64_t nnz = 0;
-    for (int b = 0; b < nblocks; ++b) {
-        nnz += __builtin_popcount(masks[b]);
-        for (unsigned m = masks[b]; m != 0; m &= m - 1)
-            ++hist[b * 8 + __builtin_ctz(m)];
-    }
-    return nnz;
-}
-
-bool
-dbbVpopcntKernelSupportedImpl()
-{
-    return false;
-}
-
-#endif // S2TA_HAVE_SIMD_AVX512
 
 } // namespace s2ta

@@ -19,16 +19,21 @@ namespace {
 /** Forced dispatch ceiling; Avx512 (the widest tier) = unclamped. */
 std::atomic<int> kernel_cap{static_cast<int>(DbbKernelKind::Avx512)};
 
-/** Widest compiled-in tier this CPU supports (cpuid results cannot
- *  change at runtime; memoized). */
+/** Widest tier this CPU supports: every tier is compiled on x86-64,
+ *  the baseline alone elsewhere (cpuid results cannot change at
+ *  runtime; memoized). */
 DbbKernelKind
 widestSupportedKernel()
 {
+#if defined(__x86_64__)
     static const DbbKernelKind kind =
         dbbAvx512KernelSupportedImpl() ? DbbKernelKind::Avx512
         : dbbAvx2KernelSupportedImpl() ? DbbKernelKind::Avx2
                                        : DbbKernelKind::Scalar;
     return kind;
+#else
+    return DbbKernelKind::Scalar;
+#endif
 }
 
 #ifdef __SSE2__
@@ -245,10 +250,15 @@ denseGemmRowsFor(DbbKernelKind kind)
 {
     switch (kind) {
       case DbbKernelKind::Scalar: return denseGemmRowsBase;
+#if defined(__x86_64__)
       case DbbKernelKind::Avx2:   return denseGemmRowsAvx2;
       case DbbKernelKind::Avx512: return denseGemmRowsAvx512;
+#else
+      default: break; // the SIMD tiers are x86-64 only
+#endif
     }
-    s2ta_panic("unknown kernel kind");
+    s2ta_panic("no kernel tier %d on this target",
+               static_cast<int>(kind));
 }
 
 const char *
@@ -294,8 +304,12 @@ dbbKernelCap()
 bool
 dbbProfileSimdEnabled()
 {
+#if defined(__x86_64__)
     static const bool supported = dbbVpopcntKernelSupportedImpl();
     return supported && dbbKernelCap() >= DbbKernelKind::Avx512;
+#else
+    return false;
+#endif
 }
 
 void

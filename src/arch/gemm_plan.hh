@@ -51,10 +51,12 @@ enum class DbbKernelKind
     /** The build's baseline ISA: SSE2 pmaddwd blocks on x86-64,
      *  portable loops elsewhere. Always available. */
     Scalar,
-    /** vpmovsxbw + vpmaddwd blocks (AVX2, the x86-64-v2 build). */
+    /** vpmovsxbw + vpmaddwd blocks (AVX2). Compiled on every x86-64
+     *  build; dispatched when cpuid reports AVX2. */
     Avx2,
-    /** VNNI vpdpbusd blocks (AVX512BW+VNNI, the x86-64-v4 build),
-     *  with the VPOPCNTDQ profile derivation as a sub-feature. */
+    /** VNNI vpdpbusd blocks (AVX512BW+VNNI), with the VPOPCNTDQ
+     *  profile derivation as a sub-feature. Compiled on every x86-64
+     *  build; dispatched when cpuid reports both features. */
     Avx512,
 };
 
@@ -62,11 +64,12 @@ enum class DbbKernelKind
  *  the value bench JSON records as simd_kernel. */
 const char *dbbKernelKindName(DbbKernelKind kind);
 
-/** True when tier @p kind is compiled in and this CPU supports it. */
+/** True when tier @p kind is compiled for this target (every tier on
+ *  x86-64, Scalar elsewhere) and this CPU supports it. */
 bool dbbKernelSupported(DbbKernelKind kind);
 
-/** The tier dbbGemm will actually use: the widest compiled-in tier
- *  this CPU supports, clamped to the forced cap (dbbForceKernelCap). */
+/** The tier dbbGemm will actually use: the widest tier this CPU
+ *  supports, clamped to the forced cap (dbbForceKernelCap). */
 DbbKernelKind dbbActiveKernel();
 
 /**
@@ -83,7 +86,7 @@ void dbbForceKernelCap(DbbKernelKind cap);
 DbbKernelKind dbbKernelCap();
 
 /** True when OperandProfile::fromMasks may use the AVX-512 VPOPCNTDQ
- *  derivation (compiled in, CPU support, cap not below Avx512). */
+ *  derivation (x86-64, CPU support, cap not below Avx512). */
 bool dbbProfileSimdEnabled();
 
 /**

@@ -246,6 +246,9 @@ PlanCache::rehydrate(
     // profile/mirror re-derivation) and promote back into the
     // resident tier.
     auto entry = spillDecode(bytes->data(), bytes->size());
+    s2ta_assert(entry != nullptr,
+                "malformed spill image (spill bytes never leave the "
+                "process)");
     insertAndSpill(key, entry);
     return entry;
 }

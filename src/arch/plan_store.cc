@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <system_error>
 
 #include "base/fault_injection.hh"
@@ -127,20 +128,24 @@ putVarint(std::vector<uint8_t> &out, uint64_t v)
     out.push_back(static_cast<uint8_t>(v));
 }
 
-uint64_t
-getVarint(const uint8_t *&p, const uint8_t *end)
+/**
+ * Read one varint in the form putVarint writes: the shortest one (no
+ * redundant high zero byte), at most 9 bytes (63 bits). False on a
+ * truncated or non-canonical varint.
+ */
+bool
+getVarint(const uint8_t *&p, const uint8_t *end, uint64_t &v)
 {
-    uint64_t v = 0;
-    int shift = 0;
-    for (;;) {
-        s2ta_assert(p < end && shift < 64,
-                    "malformed spill varint");
+    v = 0;
+    for (int shift = 0; shift < 63; shift += 7) {
+        if (p == end)
+            return false;
         const uint8_t byte = *p++;
         v |= static_cast<uint64_t>(byte & 0x7f) << shift;
         if ((byte & 0x80u) == 0)
-            return v;
-        shift += 7;
+            return byte != 0 || shift == 0;
     }
+    return false;
 }
 
 /**
@@ -182,39 +187,51 @@ encodeBlocks(const MaskMatrix &mat, const ValueAt &value_at,
 /**
  * Inverse of encodeBlocks for one operand of @p vectors x @p nb
  * blocks: every stored value goes to the dense operand through
- * @p store(vector, k, value). The encoding is lossless (every
- * non-zero keeps its position and value; padding positions stay
- * unset), so this reconstructs the operand exactly.
+ * @p store(vector, k, value). Accepts exactly what encodeBlocks
+ * writes: masks within bz bits and clear of the padding tail, a
+ * non-zero value under every set bit (the masks mark the
+ * non-zeros), zero runs that stay inside the block array and are
+ * maximal (never followed by another zero mask), and canonical
+ * varints. The encoding is lossless, so an accepted stream
+ * reconstructs the operand exactly and re-encodes to the same bytes.
+ * Returns false at the first violation, after @p store has seen
+ * some prefix of the values.
  */
 template <typename Store>
-void
+bool
 decodeBlocks(const uint8_t *&p, const uint8_t *end, int vectors,
              int nb, int bz, int k, const Store &store)
 {
     const int64_t total = static_cast<int64_t>(vectors) * nb;
+    bool after_run = false;
     for (int64_t i = 0; i < total;) {
-        s2ta_assert(p < end, "truncated spill block stream");
+        if (p == end)
+            return false;
         const Mask8 mask = *p++;
         if (mask == 0) {
-            const uint64_t run = 1 + getVarint(p, end);
-            s2ta_assert(run <= static_cast<uint64_t>(total - i),
-                        "spill zero-run overruns the block array");
-            i += static_cast<int64_t>(run);
+            uint64_t extra = 0;
+            if (after_run || !getVarint(p, end, extra) ||
+                extra >= static_cast<uint64_t>(total - i))
+                return false;
+            i += 1 + static_cast<int64_t>(extra);
+            after_run = true;
             continue;
         }
-        s2ta_assert((mask >> bz) == 0 &&
-                        p + maskPopcount(mask) <= end,
-                    "malformed spill block");
+        after_run = false;
+        if ((mask >> bz) != 0 || end - p < maskPopcount(mask))
+            return false;
         const auto v = static_cast<int>(i / nb);
         const int base = static_cast<int>(i % nb) * bz;
         for (Mask8 m = mask; m; m = maskClearLowest(m)) {
             const int kk = base + maskLowestSetBit(m);
-            s2ta_assert(kk < k,
-                        "spilled non-zero in the padding tail");
-            store(v, kk, static_cast<int8_t>(*p++));
+            const auto value = static_cast<int8_t>(*p++);
+            if (kk >= k || value == 0)
+                return false;
+            store(v, kk, value);
         }
         ++i;
     }
+    return true;
 }
 
 constexpr uint8_t kSpillMagic = 0x53; // 'S'
@@ -639,22 +656,41 @@ spillDecode(const uint8_t *data, size_t len)
 {
     const uint8_t *p = data;
     const uint8_t *end = data + len;
-    s2ta_assert(len > 2 && p[0] == kSpillMagic &&
-                    p[1] == kSpillVersion,
-                "malformed spill image header");
+    if (len < 2 || p[0] != kSpillMagic || p[1] != kSpillVersion)
+        return nullptr;
     p += 2;
-    const auto m = static_cast<int>(getVarint(p, end));
-    const auto k = static_cast<int>(getVarint(p, end));
-    const auto n = static_cast<int>(getVarint(p, end));
-    s2ta_assert(p + 2 <= end, "truncated spill image");
+    int64_t dims[3];
+    for (int64_t &d : dims) {
+        uint64_t v = 0;
+        if (!getVarint(p, end, v) || v < 1 ||
+            v > static_cast<uint64_t>(kMaxDim))
+            return nullptr;
+        d = static_cast<int64_t>(v);
+    }
+    if (end - p < 2)
+        return nullptr;
     const int bz = *p++;
-    const bool mirror = *p++ != 0;
-    s2ta_assert(m >= 1 && k >= 1 && n >= 1 && bz >= 1 && bz <= 8,
-                "implausible spill dims %dx%dx%d bz %d", m, k, n,
-                bz);
+    const uint8_t mirror = *p++;
+    // Each operand's element count must fit the int indexing of the
+    // plan build.
+    constexpr int64_t kMaxElems = std::numeric_limits<int32_t>::max();
+    if (bz < 1 || bz > 8 || mirror > 1 ||
+        dims[0] * dims[1] > kMaxElems || dims[1] * dims[2] > kMaxElems)
+        return nullptr;
+    const auto m = static_cast<int>(dims[0]);
+    const auto k = static_cast<int>(dims[1]);
+    const auto n = static_cast<int>(dims[2]);
     const int nb = (k + bz - 1) / bz;
 
+    // Check the whole block stream before allocating the operands: a
+    // few bytes of zero runs can claim dims of any size.
+    const uint8_t *blocks = p;
+    const auto skip = [](int, int, int8_t) {};
+    if (!decodeBlocks(p, end, m, nb, bz, k, skip) ||
+        !decodeBlocks(p, end, n, nb, bz, k, skip) || p != end)
+        return nullptr;
     GemmProblem prob(m, k, n);
+    p = blocks;
     decodeBlocks(p, end, m, nb, bz, k,
                  [&prob](int i, int kk, int8_t v) {
                      prob.actAt(i, kk) = v;
@@ -663,9 +699,8 @@ spillDecode(const uint8_t *data, size_t len)
                  [&prob](int j, int kk, int8_t v) {
                      prob.wgtAt(kk, j) = v;
                  });
-    s2ta_assert(p == end, "trailing bytes in spill image");
     return std::make_shared<const CachedPlan>(std::move(prob), bz,
-                                              mirror);
+                                              mirror != 0);
 }
 
 } // namespace s2ta

@@ -224,9 +224,13 @@ std::vector<uint8_t> spillEncode(const CachedPlan &entry);
  * Rebuild a full entry from a spill-form image: the operands are
  * reconstructed from the lossless block encoding and the plan is
  * built from them (with the dense mirror when the entry had one) —
- * bit-identical to the entry that was spilled. Fatal on a malformed
- * image (spill bytes never leave the process; corruption here is a
- * program bug, not an input).
+ * bit-identical to the entry that was spilled. Returns nullptr,
+ * never asserts, on any image spillEncode could not have written:
+ * a bad header, a truncated or non-canonical varint, implausible
+ * dims, a malformed block, or trailing bytes. An accepted image is
+ * exactly spillEncode of the entry it decodes to. Spill bytes never
+ * leave the process, so PlanCache treats a null here as a program
+ * bug; the non-fatal form is what lets a fuzzer drive the decoder.
  */
 std::shared_ptr<const CachedPlan> spillDecode(const uint8_t *data,
                                               size_t len);

@@ -1,12 +1,13 @@
 /** @file Property tests for the tiers of the dense INT8 GEMM: every
- *  compiled-in tier this CPU supports must match gemmReference and
- *  the scalar engine bit for bit, across K values around every
- *  tier's chunk width (16 and 64 bytes) and its K tail, ragged
- *  m and n around the register-block shapes, full-range INT8 values
- *  including the all -128 corner that wraps INT32, and any shard
- *  lane count. Tiers the build or CPU lacks are skipped. The same
- *  file covers the AVX-512 VPOPCNTDQ profile sub-kernel and the
- *  forced-cap dispatcher used by the benches' --simd flag.
+ *  tier this CPU supports must match gemmReference and the scalar
+ *  engine bit for bit, across K values around every tier's chunk
+ *  width (16 and 64 bytes) and its K tail, ragged m and n around the
+ *  register-block shapes, full-range INT8 values including the all
+ *  -128 corner that wraps INT32, and any shard lane count. Tiers the
+ *  CPU lacks are skipped; ProbesMatchCpuid makes sure that is the
+ *  only reason to skip one, since every tier is compiled on x86-64.
+ *  The same file covers the AVX-512 VPOPCNTDQ profile sub-kernel and
+ *  the forced-cap dispatcher used by the benches' --simd flag.
  */
 
 #include <gtest/gtest.h>
@@ -223,6 +224,34 @@ TEST(GemmKernels, ProfileDerivationMatchesScalarOnConvCorpus)
     }
 }
 
+TEST(GemmKernels, ProbesMatchCpuid)
+{
+    // A tier missing from the build would make the property tests
+    // above skip it silently; on x86-64 every probe must instead
+    // report exactly what cpuid reports, and the uncapped dispatcher
+    // must pick the widest tier and enable the VPOPCNTDQ profile
+    // exactly when the CPU has it.
+#if defined(__x86_64__)
+    const bool avx2 = __builtin_cpu_supports("avx2");
+    const bool avx512 = __builtin_cpu_supports("avx512bw") &&
+                        __builtin_cpu_supports("avx512vnni");
+    const bool vpopcnt = __builtin_cpu_supports("avx512vpopcntdq") &&
+                         __builtin_cpu_supports("avx512bw");
+    EXPECT_EQ(dbbVpopcntKernelSupportedImpl(), vpopcnt);
+#else
+    // Other targets compile the baseline tier only.
+    const bool avx2 = false, avx512 = false, vpopcnt = false;
+#endif
+    dbbForceKernelCap(DbbKernelKind::Avx512);
+    EXPECT_TRUE(dbbKernelSupported(DbbKernelKind::Scalar));
+    EXPECT_EQ(dbbKernelSupported(DbbKernelKind::Avx2), avx2);
+    EXPECT_EQ(dbbKernelSupported(DbbKernelKind::Avx512), avx512);
+    EXPECT_EQ(dbbProfileSimdEnabled(), vpopcnt);
+    EXPECT_EQ(dbbActiveKernel(), avx512 ? DbbKernelKind::Avx512
+                                 : avx2 ? DbbKernelKind::Avx2
+                                        : DbbKernelKind::Scalar);
+}
+
 TEST(GemmKernels, DispatcherPrefersWidestTier)
 {
     dbbForceKernelCap(DbbKernelKind::Scalar);
@@ -260,8 +289,6 @@ TEST(GemmKernels, ForcedCapClampsEveryTier)
         }
     }
     dbbForceKernelCap(DbbKernelKind::Avx512); // restore auto
-    EXPECT_EQ(dbbProfileSimdEnabled(),
-              dbbVpopcntKernelSupportedImpl());
 }
 
 TEST(GemmKernels, KernelKindNamesAreStable)
