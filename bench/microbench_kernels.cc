@@ -288,6 +288,36 @@ BENCHMARK(BM_SimulateArch)
     ->Unit(benchmark::kMillisecond);
 
 void
+BM_SimulateSmtDepthwise(benchmark::State &state)
+{
+    // One depthwise group as a grouped layer lowers it (N = 1,
+    // K = 9, one row per output pixel of a 112x112 map), events
+    // only from a pre-built plan: the SMT sampler and its sample
+    // schedule are all that runs, and the repeated calls stand for
+    // a layer's identically shaped groups.
+    const auto engine = static_cast<EngineKind>(state.range(0));
+    Rng rng(13);
+    const GemmProblem p =
+        makeUnstructuredGemm(112 * 112, 9, 1, 0.5, 0.5, rng);
+    const GemmPlan plan = engine == EngineKind::Scalar
+                              ? GemmPlan::shallow(p)
+                              : GemmPlan::build(p, 8, false);
+    const auto model = makeArrayModel(ArrayConfig::saSmt(2));
+    RunOptions opt;
+    opt.compute_output = false;
+    opt.validate_operands = false;
+    opt.engine = engine;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(model->run(plan, opt));
+    state.SetLabel(engine == EngineKind::Scalar ? "scalar"
+                                                : "dbb-fast");
+}
+BENCHMARK(BM_SimulateSmtDepthwise)
+    ->Arg(static_cast<int>(EngineKind::Scalar))
+    ->Arg(static_cast<int>(EngineKind::DbbFast))
+    ->Unit(benchmark::kMicrosecond);
+
+void
 BM_SimulateFunctional(benchmark::State &state)
 {
     // Whole-GEMM simulation including the functional output: this

@@ -86,6 +86,13 @@ ArrayConfig::check() const
         if (smt.threads < 1 || smt.queue_depth < 1)
             s2ta_fatal("invalid SMT config T%dQ%d", smt.threads,
                        smt.queue_depth);
+        // One slot can deliver a pair from every thread; a FIFO
+        // shallower than that could never accept such a slot.
+        if (smt.queue_depth < smt.threads)
+            s2ta_fatal("SMT queue depth %d below thread count %d "
+                       "(T%dQ%d can never accept a full slot)",
+                       smt.queue_depth, smt.threads, smt.threads,
+                       smt.queue_depth);
         break;
       case ArchKind::S2taW:
         if (!weight_dbb.valid() || weight_dbb.bz != bz)

@@ -59,7 +59,8 @@ struct TpeGeometry
     bool operator==(const TpeGeometry &) const = default;
 };
 
-/** SMT-SA specific parameters (threads and FIFO depth). */
+/** SMT-SA specific parameters (threads and FIFO depth; the depth
+ *  must be at least the thread count, see ArrayConfig::check). */
 struct SmtConfig
 {
     int threads = 2;

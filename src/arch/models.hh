@@ -9,6 +9,9 @@
 #ifndef S2TA_ARCH_MODELS_HH
 #define S2TA_ARCH_MODELS_HH
 
+#include <algorithm>
+#include <cstdint>
+
 #include "arch/array_model.hh"
 
 namespace s2ta {
@@ -55,10 +58,51 @@ class SaSmtModel : public ArrayModel
      * Queue automaton for one PE: given the per-arrival-slot count
      * of non-zero pairs (0..T), return the cycles needed to consume
      * the stream and drain, honouring a depth-Q FIFO with one pop
-     * per cycle and stall-on-full semantics. Exposed for unit tests.
+     * per cycle and stall-on-full semantics. Every count must be at
+     * most @p queue_depth (a slot that delivers more pairs than the
+     * FIFO holds could never advance). The per-cycle reference the
+     * scalar engine runs; exposed for unit tests.
      */
     static int64_t queueCycles(const std::vector<int> &arrivals,
                                int queue_depth);
+
+    /**
+     * The same automaton advanced one arrival slot, or one run of
+     * empty slots, per call: the fast engine's sampler. A slot
+     * delivering a <= Q pairs to a FIFO holding q takes
+     * c = max(1, q + a - Q) cycles (the pop of the first cycle, then
+     * one stall cycle per entry that must leave before all a fit)
+     * and leaves max(q - c, 0) + a queued. Feeding queueCycles'
+     * arrivals through slot()/idle() and reading drained() gives
+     * its result exactly.
+     */
+    struct QueueStep
+    {
+        int queue_depth = 1;
+        int64_t cycles = 0;
+        int64_t queued = 0;
+
+        /** One slot delivering @p arr (<= queue_depth) pairs. */
+        void
+        slot(int arr)
+        {
+            const int64_t c =
+                std::max<int64_t>(1, queued + arr - queue_depth);
+            queued = std::max<int64_t>(queued - c, 0) + arr;
+            cycles += c;
+        }
+
+        /** @p r consecutive slots that deliver nothing. */
+        void
+        idle(int64_t r)
+        {
+            cycles += r;
+            queued = std::max<int64_t>(queued - r, 0);
+        }
+
+        /** Cycles once the streams end and the FIFO drains. */
+        int64_t drained() const { return cycles + queued; }
+    };
 };
 
 /**

@@ -80,5 +80,20 @@ TEST(ArrayConfigDeath, InvalidConfigsFatal)
     EXPECT_DEATH(bad3.check(), "invalid TPE geometry");
 }
 
+TEST(ArrayConfigDeath, SmtQueueShallowerThanThreadsFatal)
+{
+    // A slot can deliver one pair per thread; a FIFO shallower than
+    // T could never accept it, so the timing model would spin.
+    EXPECT_DEATH(ArrayConfig::saSmt(1).check(),
+                 "queue depth 1 below thread count 2");
+    ArrayConfig t4q3 = ArrayConfig::saSmt(3);
+    t4q3.smt.threads = 4;
+    EXPECT_DEATH(t4q3.check(), "queue depth 3 below thread count 4");
+
+    ArrayConfig t4q4 = t4q3;
+    t4q4.smt.queue_depth = 4;
+    t4q4.check(); // Q == T is the shallowest legal FIFO
+}
+
 } // anonymous namespace
 } // namespace s2ta
