@@ -41,15 +41,17 @@ main()
     {
         // Weight blocks run along input channels: generate with
         // channels innermost, then transpose into (kh, kw, ci, co).
+        // Operands are frozen once assigned, so build the tensor
+        // first.
         Int8Tensor tmp = makeDbbTensor(
             {3, 3, shape.out_c, shape.in_c}, layer.wgt_nnz, rng);
-        layer.weights = Int8Tensor({3, 3, shape.in_c, shape.out_c});
+        Int8Tensor w({3, 3, shape.in_c, shape.out_c});
         for (int ky = 0; ky < 3; ++ky)
             for (int kx = 0; kx < 3; ++kx)
                 for (int c = 0; c < shape.in_c; ++c)
                     for (int oc = 0; oc < shape.out_c; ++oc)
-                        layer.weights(ky, kx, c, oc) =
-                            tmp(ky, kx, oc, c);
+                        w(ky, kx, c, oc) = tmp(ky, kx, oc, c);
+        layer.weights = std::move(w);
     }
 
     // 3. Run on S2TA-AW and on the SA-ZVCG baseline.

@@ -14,14 +14,13 @@ namespace {
 
 /**
  * Content key of one layer's lowered GEMMs: the conv geometry, the
- * lowering alignment, and fingerprints of both operand tensors.
+ * lowering alignment, and the fingerprints both operands carry.
  * Two layers with identical key lower to bit-identical problems,
  * so a PlanCache entry built under this key is valid for any array
  * config that shares the alignment and block size.
  */
 uint64_t
-layerPlanKey(const LayerWorkload &wl, int channel_align,
-             uint64_t input_hash)
+layerPlanKey(const LayerWorkload &wl, int channel_align)
 {
     uint64_t key = 0x4C41594552ull; // domain tag
     const Conv2dShape &s = wl.shape;
@@ -31,11 +30,8 @@ layerPlanKey(const LayerWorkload &wl, int channel_align,
         key = PlanCache::combine(key,
                                  static_cast<uint64_t>(field));
     }
-    key = PlanCache::combine(key, input_hash);
-    key = PlanCache::combine(
-        key, PlanCache::hashBytes(
-                 wl.weights.data(),
-                 static_cast<size_t>(wl.weights.size())));
+    key = PlanCache::combine(key, wl.input.hash());
+    key = PlanCache::combine(key, wl.weights.hash());
     return key;
 }
 
@@ -139,17 +135,9 @@ Accelerator::prepareLayer(const LayerWorkload &wl,
     const int groups = wl.shape.groups;
     prep.use_cache = opt.plan_cache != nullptr &&
                      opt.engine != EngineKind::Scalar;
-    // The input fingerprint keys both the lowered plans and the
-    // DAP memo in executePrepared; compute it once per layer visit.
-    prep.input_hash =
-        prep.use_cache
-            ? PlanCache::hashBytes(
-                  wl.input.data(),
-                  static_cast<size_t>(wl.input.size()))
-            : 0;
     if (prep.use_cache) {
         prep.cached = opt.plan_cache->acquireLayer(
-            layerPlanKey(wl, channelAlign(), prep.input_hash),
+            layerPlanKey(wl, channelAlign()),
             groups, acfg.bz, compute_output,
             [&] {
                 return im2colLowerAll(wl.shape, wl.input,
@@ -313,7 +301,7 @@ Accelerator::executePrepared(const PreparedLayer &prep,
                 ? opt.plan_cache->dapStats(
                       PlanCache::combine(
                           PlanCache::combine(0x444150ull,
-                                             prep.input_hash),
+                                             wl.input.hash()),
                           static_cast<uint64_t>(wl.act_nnz)),
                       check)
                 : check();

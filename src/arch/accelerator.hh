@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "arch/array_model.hh"
+#include "arch/frozen_tensor.hh"
 #include "tensor/conv.hh"
 #include "tensor/tensor.hh"
 
@@ -108,6 +109,12 @@ AttemptFaults evaluateAttemptFaults(const FaultInjector &fi,
  * carry the desired sparsity structure (W-DBB pruned weights,
  * DAP-structured activations); pruning is a property of the deployed
  * model, shared by every architecture under comparison (Sec. 8.3).
+ *
+ * Both operands are FrozenTensors: immutable, fingerprinted once
+ * when assigned, and shared by copies (batch variants of a deployed
+ * model share its weights). The plan cache keys a layer by those
+ * fingerprints, so running a layer never re-reads its operands to
+ * identify them; to change an operand, assign a new tensor.
  */
 struct LayerWorkload
 {
@@ -122,9 +129,9 @@ struct LayerWorkload
     int batch = 1;
     /** (in_h, in_w, in_c) activations at batch 1, or
      *  (batch, in_h, in_w, in_c) when batch > 1. */
-    Int8Tensor input;
+    FrozenTensor input;
     /** (kernel_h, kernel_w, groupInC, out_c) weights. */
-    Int8Tensor weights;
+    FrozenTensor weights;
     /** A-DBB bound the input blocks satisfy (bz for dense). */
     int act_nnz = 8;
     /** W-DBB bound the weight blocks satisfy (bz for dense; dense
@@ -186,8 +193,6 @@ struct PreparedLayer
     /** Locally encoded plans over `problems` (uncached fast path;
      *  empty on the scalar path, which encodes nothing). */
     std::vector<std::shared_ptr<const GemmPlan>> plans;
-    /** Content fingerprint of the input tensor (cached path). */
-    uint64_t input_hash = 0;
     /** True when `cached` (not `problems`) carries the plans. */
     bool use_cache = false;
     /** Operand upload / result download bytes; see

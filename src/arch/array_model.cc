@@ -264,12 +264,14 @@ ArrayModel::usesScalarEngine(const GemmPlan &plan,
     return opt.engine == EngineKind::Scalar || !plan.encoded();
 }
 
-OperandProfile
-ArrayModel::profileFor(const GemmPlan &plan, const RunOptions &opt)
+const OperandProfile &
+ArrayModel::profileFor(const GemmPlan &plan, const RunOptions &opt,
+                       OperandProfile &scratch)
 {
-    return usesScalarEngine(plan, opt)
-               ? OperandProfile::build(plan.problem())
-               : plan.profile();
+    if (!usesScalarEngine(plan, opt))
+        return plan.profile();
+    scratch = OperandProfile::build(plan.problem());
+    return scratch;
 }
 
 void

@@ -195,12 +195,14 @@ class ArrayModel
                                  const RunOptions &opt);
 
     /**
-     * Operand profile for this run: the scalar engine rebuilds it
-     * with the reference dense scan, the fast engine takes the
-     * plan's mask-derived copy. Both are bit-identical.
+     * Operand profile for this run: the fast engine gets the plan's
+     * mask-derived profile itself (no copy); the scalar engine
+     * rebuilds it with the reference dense scan into @p scratch and
+     * gets that. Both are bit-identical.
      */
-    static OperandProfile profileFor(const GemmPlan &plan,
-                                     const RunOptions &opt);
+    static const OperandProfile &profileFor(const GemmPlan &plan,
+                                            const RunOptions &opt,
+                                            OperandProfile &scratch);
 
     /**
      * Functional output for architectures whose datapath sums in

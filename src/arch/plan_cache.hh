@@ -14,11 +14,16 @@
  * The cache keys entries by operand *content* (a 64-bit FNV-1a
  * fingerprint of both operand byte arrays plus the GEMM dims, the
  * DBB block size, and whether the dense weight mirror was
- * materialized): mutated operands re-fingerprint on every call and
- * therefore can never hit a stale entry, so results are bitwise
- * identical with caching on or off. Hits are decided by the
- * fingerprint; acquire() cross-checks the dims on a hit, leaving
- * only the ~2^-64 same-dims content collision undetected.
+ * materialized), so a stale entry can never be hit and results are
+ * bitwise identical with caching on or off. acquire() fingerprints
+ * a GemmProblem's operands on every call. Layer callers
+ * (Accelerator) key with acquireLayer from the fingerprints their
+ * FrozenTensor operands took once, at construction: an operand
+ * can only change by being replaced, which fingerprints it anew,
+ * so the per-call key is exact without re-reading any operand
+ * byte. Hits are decided by the fingerprint; acquire()
+ * cross-checks the dims on a hit, leaving only the ~2^-64
+ * same-dims content collision undetected.
  *
  * Entries own their GemmProblem (plans borrow the problem they were
  * built from), so cached plans stay valid after the caller's problem
@@ -189,9 +194,10 @@ class PlanCache
     /**
      * Keyed variant for callers that can identify the workload
      * without materializing it (e.g. a conv layer before im2col
-     * lowering): @p key must already distinguish operand content
-     * (hash the source tensors with hashBytes). @p lower runs only
-     * on a miss and produces the problem to encode.
+     * lowering): @p key must already distinguish operand content,
+     * e.g. by combining the source tensors' FrozenTensor::hash()
+     * (their hashBytes, taken once when they were built). @p lower
+     * runs only on a miss and produces the problem to encode.
      */
     std::shared_ptr<const CachedPlan>
     acquireKeyed(uint64_t key, int bz, bool dense_mirror,
@@ -218,9 +224,10 @@ class PlanCache
      * SRAM; its comparator counts are a pure function of (tensor
      * content, NNZ bound) — independent of the array geometry — so
      * a sweep over array configs computes them once per layer.
-     * @p key must identify tensor content and bound (hashBytes +
-     * combine); @p compute runs only on a miss. DAP entries live
-     * outside the LRU (they are a few counters, not plans).
+     * @p key must identify tensor content and bound (e.g. a
+     * FrozenTensor::hash() combined with the bound); @p compute
+     * runs only on a miss. DAP entries live outside the LRU (they
+     * are a few counters, not plans).
      */
     DapStats dapStats(uint64_t key,
                       const std::function<DapStats()> &compute);

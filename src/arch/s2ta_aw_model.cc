@@ -17,7 +17,8 @@ S2taAwModel::simulate(const GemmPlan &plan, const RunOptions &opt,
 {
     const GemmProblem &p = plan.problem();
     const bool scalar = usesScalarEngine(plan, opt);
-    const OperandProfile prof = profileFor(plan, opt);
+    OperandProfile scalar_prof;
+    const OperandProfile &prof = profileFor(plan, opt, scalar_prof);
     EventCounts &ev = out.events;
 
     const int bz = cfg.bz;

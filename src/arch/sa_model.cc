@@ -16,7 +16,8 @@ SaModel::simulate(const GemmPlan &plan, const RunOptions &opt,
                   GemmRun &out) const
 {
     const GemmProblem &p = plan.problem();
-    const OperandProfile prof = profileFor(plan, opt);
+    OperandProfile scalar_prof;
+    const OperandProfile &prof = profileFor(plan, opt, scalar_prof);
     EventCounts &ev = out.events;
     const bool zvcg = cfg.kind == ArchKind::SaZvcg;
 

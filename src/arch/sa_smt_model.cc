@@ -209,7 +209,8 @@ SaSmtModel::simulate(const GemmPlan &plan, const RunOptions &opt,
 {
     const GemmProblem &p = plan.problem();
     const bool scalar = usesScalarEngine(plan, opt);
-    const OperandProfile prof = profileFor(plan, opt);
+    OperandProfile scalar_prof;
+    const OperandProfile &prof = profileFor(plan, opt, scalar_prof);
     EventCounts &ev = out.events;
     const int tcount = cfg.smt.threads;
     const int qdepth = cfg.smt.queue_depth;

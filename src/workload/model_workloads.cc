@@ -213,13 +213,13 @@ buildModelWorkload(const ModelSpec &spec,
                 {ml.shape.kernel_h, ml.shape.kernel_w,
                  ml.shape.out_c, ml.shape.groupInC()},
                 ls.wgt_nnz, rng);
-            wl.weights = Int8Tensor(w_shape);
+            Int8Tensor w(w_shape);
             for (int ky = 0; ky < ml.shape.kernel_h; ++ky)
                 for (int kx = 0; kx < ml.shape.kernel_w; ++kx)
                     for (int c = 0; c < ml.shape.groupInC(); ++c)
                         for (int oc = 0; oc < ml.shape.out_c; ++oc)
-                            wl.weights(ky, kx, c, oc) =
-                                tmp(ky, kx, oc, c);
+                            w(ky, kx, c, oc) = tmp(ky, kx, oc, c);
+            wl.weights = std::move(w);
         }
         mw.layers.push_back(std::move(wl));
     }
@@ -251,14 +251,15 @@ withBatch(const ModelWorkload &base, int batch)
 
         std::vector<int> in_shape = bl.input.shape();
         in_shape.insert(in_shape.begin(), batch);
-        wl.input = Int8Tensor(in_shape);
+        Int8Tensor input(in_shape);
         const size_t sample_bytes =
             static_cast<size_t>(bl.input.size());
         for (int s = 0; s < batch; ++s) {
-            std::memcpy(wl.input.data() +
+            std::memcpy(input.data() +
                             static_cast<size_t>(s) * sample_bytes,
                         bl.input.data(), sample_bytes);
         }
+        wl.input = std::move(input);
         mw.layers.push_back(std::move(wl));
     }
     return mw;
@@ -305,11 +306,10 @@ withDistinctBatch(const ModelWorkload &base, int batch,
         const std::vector<int> sample_shape = bl.input.shape();
         std::vector<int> in_shape = sample_shape;
         in_shape.insert(in_shape.begin(), batch);
-        wl.input = Int8Tensor(in_shape);
+        Int8Tensor input(in_shape);
         const size_t sample_bytes =
             static_cast<size_t>(bl.input.size());
-        std::memcpy(wl.input.data(), bl.input.data(),
-                    sample_bytes);
+        std::memcpy(input.data(), bl.input.data(), sample_bytes);
         for (int s = 1; s < batch; ++s) {
             // Same generator rule as buildModelWorkload, so every
             // sample satisfies the layer's declared bounds (narrow
@@ -318,10 +318,11 @@ withDistinctBatch(const ModelWorkload &base, int batch,
             const Int8Tensor t = makeLayerInput(
                 sample_shape, mw.profile[l].act_nnz,
                 sample_rng[static_cast<size_t>(s - 1)]);
-            std::memcpy(wl.input.data() +
+            std::memcpy(input.data() +
                             static_cast<size_t>(s) * sample_bytes,
                         t.data(), sample_bytes);
         }
+        wl.input = std::move(input);
         mw.layers.push_back(std::move(wl));
     }
     return mw;

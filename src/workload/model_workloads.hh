@@ -62,10 +62,11 @@ ModelWorkload buildModelWorkload(const ModelSpec &spec,
                                  Rng &rng);
 
 /**
- * Batched variant of an existing workload: every layer keeps its
- * weights and declared sparsity bounds (the deployed model is
- * unchanged) and its input is replicated @p batch times along a
- * leading batch dimension — the serving scenario of one request
+ * Batched variant of an existing workload: every layer shares its
+ * weights (the same frozen storage and fingerprint) and keeps its
+ * declared sparsity bounds (the deployed model is unchanged), and
+ * its input is replicated @p batch times along a leading batch
+ * dimension — the serving scenario of one request
  * carrying @p batch samples. Replication preserves the per-sample
  * DBB structure, so the batched workload satisfies exactly the
  * bounds the base one does. @p batch == 1 returns a plain copy.
@@ -75,9 +76,9 @@ ModelWorkload withBatch(const ModelWorkload &base, int batch);
 /**
  * Batched variant with *distinct* per-sample content — the real
  * serving scenario, where a request's samples are different images.
- * Every layer keeps the deployed model's weights, profile, and
- * declared sparsity bounds; its input gains a leading batch
- * dimension where sample 0 is the base input and sample s >= 1 is
+ * Every layer shares the deployed model's weights and keeps its
+ * profile and declared sparsity bounds; its input gains a leading
+ * batch dimension where sample 0 is the base input and sample s >= 1 is
  * freshly generated from an Rng seeded only by (@p seed, s) with
  * the layer's profile structure (same generator rules as
  * buildModelWorkload). Sample content is therefore a pure function

@@ -109,12 +109,13 @@ randomLayer(Rng &rng, int index)
     // channel-innermost and transpose into (kh, kw, gc, oc).
     const Int8Tensor tmp = makeDbbTensor(
         {kern, kern, out_c, gc}, std::min(wl.wgt_nnz, gc), rng);
-    wl.weights = Int8Tensor({kern, kern, gc, out_c});
+    Int8Tensor wt({kern, kern, gc, out_c});
     for (int ky = 0; ky < kern; ++ky)
         for (int kx = 0; kx < kern; ++kx)
             for (int c = 0; c < gc; ++c)
                 for (int oc = 0; oc < out_c; ++oc)
-                    wl.weights(ky, kx, c, oc) = tmp(ky, kx, oc, c);
+                    wt(ky, kx, c, oc) = tmp(ky, kx, oc, c);
+    wl.weights = std::move(wt);
     return wl;
 }
 

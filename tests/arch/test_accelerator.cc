@@ -29,12 +29,13 @@ smallLayer(int act_nnz, int wgt_nnz, Rng &rng)
                                                   0.2, rng)
                          : makeDbbTensor({3, 3, 24, 16}, wgt_nnz,
                                          rng);
-    wl.weights = Int8Tensor({3, 3, 16, 24});
+    Int8Tensor w({3, 3, 16, 24});
     for (int ky = 0; ky < 3; ++ky)
         for (int kx = 0; kx < 3; ++kx)
             for (int c = 0; c < 16; ++c)
                 for (int oc = 0; oc < 24; ++oc)
-                    wl.weights(ky, kx, c, oc) = tmp(ky, kx, oc, c);
+                    w(ky, kx, c, oc) = tmp(ky, kx, oc, c);
+    wl.weights = std::move(w);
     return wl;
 }
 
@@ -173,16 +174,18 @@ unreadViolationLayer(bool violate)
     wl.shape = {16, 8, 8, 8, 1, 1, 2, 0, 1};
     wl.act_nnz = 2;
     wl.wgt_nnz = 4;
-    wl.input = makeDbbTensor({8, 8, 16}, 2, rng);
+    Int8Tensor in = makeDbbTensor({8, 8, 16}, 2, rng);
     if (violate) {
         for (int c = 0; c < 8; ++c)
-            wl.input(1, 1, c) = static_cast<int8_t>(c + 1);
+            in(1, 1, c) = static_cast<int8_t>(c + 1);
     }
+    wl.input = std::move(in);
     const Int8Tensor tmp = makeDbbTensor({1, 1, 8, 16}, 4, rng);
-    wl.weights = Int8Tensor({1, 1, 16, 8});
+    Int8Tensor w({1, 1, 16, 8});
     for (int c = 0; c < 16; ++c)
         for (int oc = 0; oc < 8; ++oc)
-            wl.weights(0, 0, c, oc) = tmp(0, 0, oc, c);
+            w(0, 0, c, oc) = tmp(0, 0, oc, c);
+    wl.weights = std::move(w);
     return wl;
 }
 

@@ -153,12 +153,13 @@ TEST(DmaPolicy, DbbCompressionShrinksWeightDma)
     LayerWorkload pruned = wl;
     pruned.wgt_nnz = 4;
     Int8Tensor tmp = makeDbbTensor({3, 3, 64, 256}, 4, rng);
+    Int8Tensor w = pruned.weights;
     for (int ky = 0; ky < 3; ++ky)
         for (int kx = 0; kx < 3; ++kx)
             for (int c = 0; c < 256; ++c)
                 for (int oc = 0; oc < 64; ++oc)
-                    pruned.weights(ky, kx, c, oc) =
-                        tmp(ky, kx, oc, c);
+                    w(ky, kx, c, oc) = tmp(ky, kx, oc, c);
+    pruned.weights = std::move(w);
 
     AcceleratorConfig acfg;
     acfg.array = ArrayConfig::s2taAw(8);

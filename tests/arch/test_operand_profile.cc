@@ -114,5 +114,42 @@ TEST(OperandProfile, FromMasksMatchesBuildOnEveryZooLayer)
     }
 }
 
+/** Exposes ArrayModel's protected profile selector. */
+class ProfileProbe : public ArrayModel
+{
+  public:
+    ProfileProbe() : ArrayModel(ArrayConfig::s2taAw(4)) {}
+    using ArrayModel::profileFor;
+
+  private:
+    void
+    simulate(const GemmPlan &, const RunOptions &, GemmRun &) const
+        override
+    {}
+};
+
+TEST(OperandProfile, FastEngineBorrowsThePlanProfile)
+{
+    // The fast engine reads the plan's own profile (no per-run
+    // copy of the M-int row_nz vector); only the scalar engine
+    // builds one, into the caller's scratch.
+    Rng rng(4);
+    const GemmProblem p = makeDbbGemm(12, 32, 5, 4, 2, rng);
+    const GemmPlan plan = GemmPlan::build(p);
+    OperandProfile scratch;
+    RunOptions opt;
+    opt.engine = EngineKind::DbbFast;
+    EXPECT_EQ(&ProfileProbe::profileFor(plan, opt, scratch),
+              &plan.profile());
+    EXPECT_TRUE(scratch.row_nz.empty());
+
+    opt.engine = EngineKind::Scalar;
+    const OperandProfile &ref =
+        ProfileProbe::profileFor(plan, opt, scratch);
+    EXPECT_EQ(&ref, &scratch);
+    EXPECT_EQ(ref.row_nz, plan.profile().row_nz);
+    EXPECT_EQ(ref.matched_products, plan.profile().matched_products);
+}
+
 } // anonymous namespace
 } // namespace s2ta

@@ -330,13 +330,13 @@ testNetwork(Rng &rng)
         wl.input = makeDbbTensor({10, 10, in_c}, 4, rng);
         const Int8Tensor tmp =
             makeDbbTensor({3, 3, out_c, gc}, std::min(4, gc), rng);
-        wl.weights = Int8Tensor({3, 3, gc, out_c});
+        Int8Tensor w({3, 3, gc, out_c});
         for (int ky = 0; ky < 3; ++ky)
             for (int kx = 0; kx < 3; ++kx)
                 for (int c = 0; c < gc; ++c)
                     for (int oc = 0; oc < out_c; ++oc)
-                        wl.weights(ky, kx, c, oc) =
-                            tmp(ky, kx, oc, c);
+                        w(ky, kx, c, oc) = tmp(ky, kx, oc, c);
+        wl.weights = std::move(w);
         layers.push_back(std::move(wl));
     }
     return layers;

@@ -106,10 +106,11 @@ TEST(TileGrid, FcLayerIsMemoryBoundOnAccelerator)
     wl.wgt_nnz = 4;
     wl.input = makeDbbTensor({1, 1, 9216}, 4, rng);
     Int8Tensor tmp = makeDbbTensor({1, 1, 4096, 9216}, 4, rng);
-    wl.weights = Int8Tensor({1, 1, 9216, 4096});
+    Int8Tensor w({1, 1, 9216, 4096});
     for (int c = 0; c < 9216; ++c)
         for (int oc = 0; oc < 4096; ++oc)
-            wl.weights(0, 0, c, oc) = tmp(0, 0, oc, c);
+            w(0, 0, c, oc) = tmp(0, 0, oc, c);
+    wl.weights = std::move(w);
 
     AcceleratorConfig acfg;
     acfg.array = ArrayConfig::s2taAw(4);

@@ -48,13 +48,13 @@ batchedLayer(const Conv2dShape &shape, int batch, int act_nnz,
     const Int8Tensor tmp = makeDbbTensor(
         {shape.kernel_h, shape.kernel_w, shape.out_c, gc},
         std::min(wgt_nnz, gc), rng);
-    wl.weights = Int8Tensor(
-        {shape.kernel_h, shape.kernel_w, gc, shape.out_c});
+    Int8Tensor w({shape.kernel_h, shape.kernel_w, gc, shape.out_c});
     for (int ky = 0; ky < shape.kernel_h; ++ky)
         for (int kx = 0; kx < shape.kernel_w; ++kx)
             for (int c = 0; c < gc; ++c)
                 for (int oc = 0; oc < shape.out_c; ++oc)
-                    wl.weights(ky, kx, c, oc) = tmp(ky, kx, oc, c);
+                    w(ky, kx, c, oc) = tmp(ky, kx, oc, c);
+    wl.weights = std::move(w);
     return wl;
 }
 
@@ -69,14 +69,13 @@ sampleOf(const LayerWorkload &b, int s)
     wl.act_nnz = b.act_nnz;
     wl.wgt_nnz = b.wgt_nnz;
     wl.weights = b.weights;
-    wl.input = Int8Tensor(
-        {b.shape.in_h, b.shape.in_w, b.shape.in_c});
-    const size_t sample_bytes =
-        static_cast<size_t>(wl.input.size());
-    std::memcpy(wl.input.data(),
+    Int8Tensor in({b.shape.in_h, b.shape.in_w, b.shape.in_c});
+    const size_t sample_bytes = static_cast<size_t>(in.size());
+    std::memcpy(in.data(),
                 b.input.data() +
                     static_cast<size_t>(s) * sample_bytes,
                 sample_bytes);
+    wl.input = std::move(in);
     return wl;
 }
 

@@ -82,12 +82,13 @@ fuzzLayer(Rng &rng)
     // channel-innermost and transpose into (kh, kw, gc, oc).
     const Int8Tensor tmp = makeDbbTensor(
         {kh, kw, out_c, gc}, std::min(wl.wgt_nnz, gc), rng);
-    wl.weights = Int8Tensor({kh, kw, gc, out_c});
+    Int8Tensor wt({kh, kw, gc, out_c});
     for (int ky = 0; ky < kh; ++ky)
         for (int kx = 0; kx < kw; ++kx)
             for (int c = 0; c < gc; ++c)
                 for (int oc = 0; oc < out_c; ++oc)
-                    wl.weights(ky, kx, c, oc) = tmp(ky, kx, oc, c);
+                    wt(ky, kx, c, oc) = tmp(ky, kx, oc, c);
+    wl.weights = std::move(wt);
     return wl;
 }
 

@@ -102,6 +102,25 @@ samplesEqual(const LayerWorkload &a, int sa,
                        bytes) == 0;
 }
 
+TEST(ModelRegistry, BatchVariantsShareWeightStorage)
+{
+    // Frozen operands: a batch variant holds the base's weight
+    // tensors themselves, not copies, in either batch mode.
+    for (const BatchMode mode :
+         {BatchMode::Distinct, BatchMode::Replicate}) {
+        ModelRegistry reg(1, mode);
+        const ModelWorkload &b1 = reg.workload("alexnet", 1);
+        const ModelWorkload &b2 = reg.workload("alexnet", 2);
+        ASSERT_EQ(b2.layers.size(), b1.layers.size());
+        for (size_t i = 0; i < b1.layers.size(); ++i) {
+            EXPECT_EQ(b2.layers[i].weights.data(),
+                      b1.layers[i].weights.data());
+            EXPECT_EQ(b2.layers[i].weights.hash(),
+                      b1.layers[i].weights.hash());
+        }
+    }
+}
+
 TEST(ModelRegistry, DistinctBatchesCarryDistinctSamples)
 {
     ModelRegistry reg; // BatchMode::Distinct is the default

@@ -85,7 +85,7 @@ TEST(Workloads, LeNetTensorsCarryDeclaredStructure)
                     const int len = std::min(8, channels - off);
                     int nz = 0;
                     for (int e = 0; e < len; ++e)
-                        nz += wl.input.flat(base + off + e) != 0;
+                        nz += wl.input.data()[base + off + e] != 0;
                     EXPECT_LE(nz, wl.act_nnz) << wl.name;
                 }
             }
