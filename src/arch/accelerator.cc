@@ -155,10 +155,8 @@ Accelerator::prepareLayer(const LayerWorkload &wl,
                                channelAlign(), wl.batch));
         if (opt.engine != EngineKind::Scalar) {
             // Encode every group's plan on the host — the driver's
-            // "stage operands" work an async backend overlaps with
-            // device execution of earlier commands. Grouped layers
-            // fan the encode out exactly as the synchronous path
-            // fanned out the per-group runs.
+            // "stage operands" work. Grouped layers fan the encode
+            // out exactly as execution fans out the per-group runs.
             prep.plans.resize(static_cast<size_t>(groups));
             runIndexed(groups, [&](int64_t g) {
                 prep.plans[static_cast<size_t>(g)] =

@@ -160,8 +160,7 @@ struct LayerRun
     Int32Tensor output;
     /** Host→device operand DMA bytes (weights + activations, with
      *  the streaming/refetch policy applied). Together with
-     *  d2h_bytes this is the buffer-residency ledger an async
-     *  device backend reconciles against:
+     *  d2h_bytes this is the layer's DMA ledger:
      *  h2d_bytes + d2h_bytes == events.dma_bytes, always. */
     int64_t h2d_bytes = 0;
     /** Device→host result DMA bytes (the dense output tensor). */
@@ -170,12 +169,12 @@ struct LayerRun
 
 /**
  * Host-side ("driver") stage of one layer, split out of runLayer so
- * an asynchronous device backend (arch/backend.hh) can overlap it
- * with array execution: shape checks, the per-layer tightened array
- * config, im2col lowering, DBB encoding (or plan-cache acquisition)
- * and the DMA-traffic pricing — everything that happens before the
- * device is kicked. Movable; holds shared handles so cached
- * encodings stay alive while a queued command waits to execute.
+ * it can be timed apart from array execution: shape checks, the
+ * per-layer tightened array config, im2col lowering, DBB encoding
+ * (or plan-cache acquisition) and the DMA-traffic pricing —
+ * everything that happens before the device is kicked. Movable;
+ * holds shared handles so cached encodings stay alive until the
+ * layer executes.
  */
 struct PreparedLayer
 {
@@ -187,7 +186,7 @@ struct PreparedLayer
     std::shared_ptr<const ArrayModel> model;
     /** Plan-cache handles, one per group (cached path). */
     std::vector<std::shared_ptr<const CachedPlan>> cached;
-    /** Lowered problems owned by this command (uncached paths);
+    /** Lowered problems owned by this layer (uncached paths);
      *  heap-held so the plans below stay valid across moves. */
     std::shared_ptr<std::vector<GemmProblem>> problems;
     /** Locally encoded plans over `problems` (uncached fast path;
@@ -251,7 +250,7 @@ class Accelerator
      * Host-side stage of runLayer: validate, build the per-layer
      * array model, lower and encode (or acquire from the plan
      * cache), and price the DMA traffic. No array cycles are
-     * simulated. The returned command must be executed with the
+     * simulated. The returned layer must be executed with the
      * same options it was prepared with.
      */
     PreparedLayer prepareLayer(const LayerWorkload &wl,

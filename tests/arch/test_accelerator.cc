@@ -155,6 +155,30 @@ TEST(Accelerator, LeNetWorkloadEndToEnd)
         EXPECT_EQ(nr.layers.size(), mw.layers.size());
         EXPECT_GT(nr.total.cycles, 0);
         EXPECT_EQ(nr.dense_macs, mw.spec.totalMacs());
+
+        // Every layer's DMA ledger closes: operand upload plus
+        // result download is exactly the layer's DMA traffic, on
+        // both engines, with and without a plan cache.
+        for (const EngineKind engine :
+             {EngineKind::DbbFast, EngineKind::Scalar}) {
+            for (const bool cached : {false, true}) {
+                PlanCache cache;
+                NetworkRunOptions opt;
+                opt.engine = engine;
+                opt.plan_cache = cached ? &cache : nullptr;
+                const NetworkRun run = acc.runNetwork(mw.layers, opt);
+                ASSERT_EQ(run.layers.size(), mw.layers.size());
+                for (const LayerRun &lr : run.layers) {
+                    EXPECT_GT(lr.h2d_bytes, 0) << lr.name;
+                    EXPECT_GT(lr.d2h_bytes, 0) << lr.name;
+                    EXPECT_EQ(lr.h2d_bytes + lr.d2h_bytes,
+                              lr.events.dma_bytes)
+                        << lr.name << " engine "
+                        << static_cast<int>(engine) << " cached "
+                        << cached;
+                }
+            }
+        }
     }
 }
 
