@@ -249,6 +249,7 @@ main(int argc, char **argv)
         .field("model", spec.name)
         .field("arch", acfg.array.name())
         .field("smoke", args.smoke)
+        .field("reps", args.reps)
         .field("simd_kernel", benchSimdKernel())
         .field("layers", static_cast<int64_t>(spec.layers.size()))
         .field("dense_macs", spec.totalMacs())
@@ -272,6 +273,7 @@ main(int argc, char **argv)
         .field("store_saves", tiers.cache.stats().store_saves)
         .field("spill_hits", tiers.cache.stats().spill_hits)
         .field("bitwise_equal", equal);
+    writeHostFingerprint(jw);
     jw.write(json_path);
     return 0;
 }

@@ -9,12 +9,15 @@
 #ifndef S2TA_BENCH_BENCH_UTIL_HH
 #define S2TA_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -796,6 +799,36 @@ class JsonWriter
 
     std::string body;
 };
+
+/**
+ * Record the host a timing was taken on: CPU model (the first
+ * "model name" of /proc/cpuinfo, "unknown" where there is none),
+ * hardware threads, compiler and build type.
+ */
+inline void
+writeHostFingerprint(JsonWriter &jw)
+{
+    std::string cpu = "unknown";
+    std::ifstream in("/proc/cpuinfo");
+    for (std::string line; std::getline(in, line);) {
+        const size_t colon = line.find(':');
+        if (line.rfind("model name", 0) == 0 &&
+            colon != std::string::npos) {
+            const size_t start = line.find_first_not_of(' ', colon + 1);
+            cpu = start == std::string::npos ? "" : line.substr(start);
+            break;
+        }
+    }
+    // JsonWriter writes strings verbatim.
+    std::replace_if(
+        cpu.begin(), cpu.end(),
+        [](char c) { return c == '"' || c == '\\'; }, ' ');
+    jw.field("host_cpu", cpu)
+        .field("host_threads",
+               static_cast<int>(std::thread::hardware_concurrency()))
+        .field("compiler", std::string("gcc ") + __VERSION__)
+        .field("build_type", S2TA_BUILD_TYPE);
+}
 
 // ---- canonical workloads ---------------------------------------------
 

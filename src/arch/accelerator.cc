@@ -250,15 +250,6 @@ Accelerator::executePrepared(const PreparedLayer &prep,
     RunOptions gemm_opt = opt;
     gemm_opt.shard_pool = shardPool();
 
-    if (compute_output) {
-        std::vector<int> out_shape = {wl.shape.outH(),
-                                      wl.shape.outW(),
-                                      wl.shape.out_c};
-        if (wl.batch > 1)
-            out_shape.insert(out_shape.begin(), wl.batch);
-        lr.output = Int32Tensor(out_shape, 0);
-    }
-
     // Grouped layers fan out across the simulation threads; events
     // are folded in group order for bitwise determinism.
     const int groups = wl.shape.groups;
@@ -274,12 +265,29 @@ Accelerator::executePrepared(const PreparedLayer &prep,
             runs[gi] =
                 prep.model->run((*prep.problems)[gi], gemm_opt);
     });
-    for (int g = 0; g < groups; ++g) {
-        lr.events.add(runs[static_cast<size_t>(g)].events);
-        if (compute_output) {
-            scatterGemmResult(wl.shape, g,
-                              runs[static_cast<size_t>(g)].output,
-                              lr.output, wl.batch);
+    for (const GemmRun &run : runs)
+        lr.events.add(run.events);
+
+    // The output tensor is NHWC (batch leading when > 1). An
+    // ungrouped layer's GEMM result, row-major (batch*oh*ow) x out_c,
+    // is already that layout, so the tensor adopts its buffer; only
+    // grouped layers interleave their groups' channel slices.
+    if (compute_output) {
+        std::vector<int> out_shape = {wl.shape.outH(),
+                                      wl.shape.outW(),
+                                      wl.shape.out_c};
+        if (wl.batch > 1)
+            out_shape.insert(out_shape.begin(), wl.batch);
+        if (groups == 1) {
+            lr.output =
+                Int32Tensor(std::move(out_shape),
+                            std::move(runs.front().output));
+        } else {
+            lr.output = Int32Tensor(std::move(out_shape), 0);
+            for (int g = 0; g < groups; ++g)
+                scatterGemmResult(wl.shape, g,
+                                  runs[static_cast<size_t>(g)].output,
+                                  lr.output, wl.batch);
         }
     }
 

@@ -194,20 +194,102 @@ using BaseTile = PortableTile;
 
 #endif // __SSE2__
 
-/** W^T of @p p, written into @p wt (n x k), tiled over columns so
- *  the writes stay within a few streams. */
+/** W^T of rows [k0, k1) x columns [j0, j1) of @p p, written into
+ *  @p wt (n x k) byte by byte, tiled over columns so the writes stay
+ *  within a few streams. */
 void
-transposeWeights(const GemmProblem &p, int8_t *wt)
+transposeWeightsScalar(const GemmProblem &p, int8_t *wt, int k0,
+                       int k1, int j0, int j1)
 {
     constexpr int kColTile = 64;
-    for (int j0 = 0; j0 < p.n; j0 += kColTile) {
-        const int jlim = std::min(p.n, j0 + kColTile);
-        for (int kk = 0; kk < p.k; ++kk) {
+    for (int jt = j0; jt < j1; jt += kColTile) {
+        const int jlim = std::min(j1, jt + kColTile);
+        for (int kk = k0; kk < k1; ++kk) {
             const int8_t *row = &p.w[static_cast<size_t>(kk) * p.n];
-            for (int j = j0; j < jlim; ++j)
+            for (int j = jt; j < jlim; ++j)
                 wt[static_cast<size_t>(j) * p.k + kk] = row[j];
         }
     }
+}
+
+#ifdef __SSE2__
+
+/**
+ * Transpose one 16 x 16 byte block: row r of the block at @p src
+ * (row stride @p src_stride) becomes column r of the block at @p dst
+ * (row stride @p dst_stride). Four interleave rounds (bytes, words,
+ * dwords, qwords) each double the run of one source column that a
+ * register holds, until a register holds a whole column.
+ */
+inline void
+transposeBlock16(const int8_t *src, size_t src_stride, int8_t *dst,
+                 size_t dst_stride)
+{
+    __m128i r[16], t[16];
+    for (int i = 0; i < 16; ++i)
+        r[i] = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(src + i * src_stride));
+    // Bytes: t[2i] holds rows 2i, 2i+1 of columns 0-7, t[2i+1] of
+    // columns 8-15.
+    for (int i = 0; i < 8; ++i) {
+        t[2 * i] = _mm_unpacklo_epi8(r[2 * i], r[2 * i + 1]);
+        t[2 * i + 1] = _mm_unpackhi_epi8(r[2 * i], r[2 * i + 1]);
+    }
+    // Words: r[4q + c] holds rows 4q..4q+3 of columns 4c..4c+3.
+    for (int q = 0; q < 4; ++q) {
+        const __m128i *a = t + 4 * q;
+        r[4 * q] = _mm_unpacklo_epi16(a[0], a[2]);
+        r[4 * q + 1] = _mm_unpackhi_epi16(a[0], a[2]);
+        r[4 * q + 2] = _mm_unpacklo_epi16(a[1], a[3]);
+        r[4 * q + 3] = _mm_unpackhi_epi16(a[1], a[3]);
+    }
+    // Dwords: t[8h + x] holds rows 8h..8h+7 of columns 2x, 2x+1.
+    for (int h = 0; h < 2; ++h) {
+        for (int c = 0; c < 4; ++c) {
+            const __m128i lo = r[8 * h + c];
+            const __m128i hi = r[8 * h + 4 + c];
+            t[8 * h + 2 * c] = _mm_unpacklo_epi32(lo, hi);
+            t[8 * h + 2 * c + 1] = _mm_unpackhi_epi32(lo, hi);
+        }
+    }
+    // Qwords: rows 0-7 and 8-15 of one column meet in one register.
+    for (int x = 0; x < 8; ++x) {
+        _mm_storeu_si128(
+            reinterpret_cast<__m128i *>(dst + (2 * x) * dst_stride),
+            _mm_unpacklo_epi64(t[x], t[8 + x]));
+        _mm_storeu_si128(
+            reinterpret_cast<__m128i *>(dst + (2 * x + 1) * dst_stride),
+            _mm_unpackhi_epi64(t[x], t[8 + x]));
+    }
+}
+
+#endif // __SSE2__
+
+/**
+ * W^T of @p p, written into @p wt (n x k). The 16 x 16 blocks go
+ * through the SSE2 block transpose, one 16-column strip of W at a
+ * time so each strip's 16 W^T rows are written as sequential streams;
+ * the K and N tails (and non-SSE2 builds) take the byte loop.
+ */
+void
+transposeWeights(const GemmProblem &p, int8_t *wt)
+{
+#ifdef __SSE2__
+    const int k16 = p.k & ~15;
+    const int n16 = p.n & ~15;
+    for (int j0 = 0; j0 < n16; j0 += 16) {
+        for (int kk = 0; kk < k16; kk += 16) {
+            transposeBlock16(&p.w[static_cast<size_t>(kk) * p.n + j0],
+                             static_cast<size_t>(p.n),
+                             wt + static_cast<size_t>(j0) * p.k + kk,
+                             static_cast<size_t>(p.k));
+        }
+    }
+    transposeWeightsScalar(p, wt, k16, p.k, 0, n16);
+    transposeWeightsScalar(p, wt, 0, p.k, n16, p.n);
+#else
+    transposeWeightsScalar(p, wt, 0, p.k, 0, p.n);
+#endif
 }
 
 /**

@@ -6,7 +6,8 @@
  * the DBB positional bitmask of every block of both operands
  * (MaskMatrix, one byte per block, built in one SSE2 pass per
  * operand), the OperandProfile derived from those masks, and — when
- * the plan computes outputs — the transposed dense weights. The
+ * the plan computes outputs — the transposed dense weights (built in
+ * SSE2 16 x 16 byte blocks, a byte loop for the K and N tails). The
  * split is SCNN's: masks are the sparse form the event models, the
  * SMT sampler and the density checks read, and dense bytes are what
  * the arithmetic reads (dbbGemm contracts the dense activation rows
@@ -160,8 +161,13 @@ class GemmPlan
     }
 
     /**
-     * Dense transposed weight mirror: row j holds the K elements of
-     * weight column j contiguously, feeding dbbGemm's contraction.
+     * Dense transposed weight mirror (N x K): row j holds the K
+     * elements of weight column j contiguously, feeding dbbGemm's
+     * contraction. Weights are static, so this is staged once per
+     * plan: an SSE2 16 x 16 byte block transpose in the baseline ISA
+     * (every x86-64 build), with a byte loop for the K and N tails
+     * and on other targets. Its bytes do not depend on how it was
+     * built, so store images and spill entries carry it unchanged.
      * Null when the plan was built without it.
      */
     const int8_t *

@@ -34,12 +34,18 @@ class Tensor
     explicit Tensor(std::vector<int> shape_, T init = T{})
         : shp(std::move(shape_))
     {
-        int64_t n = 1;
-        for (int d : shp) {
-            s2ta_assert(d > 0, "non-positive dim %d", d);
-            n *= d;
-        }
-        buf.assign(static_cast<size_t>(n), init);
+        buf.assign(static_cast<size_t>(elements(shp)), init);
+        computeStrides();
+    }
+
+    /** Construct with a shape, adopting @p data (row-major, exactly
+     *  the shape's element count) without copying it. */
+    Tensor(std::vector<int> shape_, std::vector<T> &&data)
+        : shp(std::move(shape_)), buf(std::move(data))
+    {
+        s2ta_assert(elements(shp) == size(),
+                    "shape holds %ld elements, data %ld",
+                    elements(shp), size());
         computeStrides();
     }
 
@@ -122,6 +128,18 @@ class Tensor
     }
 
   private:
+    /** Element count of @p shape, whose dims must be positive. */
+    static int64_t
+    elements(const std::vector<int> &shape)
+    {
+        int64_t n = 1;
+        for (int d : shape) {
+            s2ta_assert(d > 0, "non-positive dim %d", d);
+            n *= d;
+        }
+        return n;
+    }
+
     /** Recompute row-major strides from the shape. */
     void
     computeStrides()

@@ -123,6 +123,50 @@ TEST(GemmPlan, DenseMirrorIsBuiltWheneverRequested)
     }
 }
 
+TEST(GemmPlan, DenseMirrorIsExactAtEveryBlockEdge)
+{
+    // The mirror is built in 16 x 16 byte blocks with byte-loop K and
+    // N tails: K and N below, at and on both sides of one and two
+    // blocks, and well past them, in every combination. Full-range
+    // bytes so a lane swapped between rows or columns cannot hide.
+    // Every tier's kernel must then contract against it exactly.
+    constexpr DbbKernelKind kTiers[] = {DbbKernelKind::Scalar,
+                                        DbbKernelKind::Avx2,
+                                        DbbKernelKind::Avx512};
+    const int dims[] = {1, 7, 15, 16, 17, 31, 33, 64, 65, 147, 1000};
+    Rng rng(0xA7);
+    for (const int k : dims) {
+        for (const int n : dims) {
+            GemmProblem p(5, k, n);
+            for (auto &v : p.a)
+                v = static_cast<int8_t>(rng.uniformInt(-128, 127));
+            for (auto &v : p.w)
+                v = static_cast<int8_t>(rng.uniformInt(-128, 127));
+            const GemmPlan plan = GemmPlan::build(p);
+            const int8_t *wt = plan.wgtDenseT();
+            ASSERT_NE(wt, nullptr);
+            int64_t wrong = 0;
+            for (int j = 0; j < n; ++j)
+                for (int kk = 0; kk < k; ++kk)
+                    wrong += wt[static_cast<size_t>(j) * k + kk] !=
+                             p.wgtAt(kk, j);
+            EXPECT_EQ(wrong, 0) << "k " << k << " n " << n;
+
+            const std::vector<int32_t> ref = gemmReference(p);
+            for (const DbbKernelKind kind : kTiers) {
+                if (!dbbKernelSupported(kind))
+                    continue;
+                dbbForceKernelCap(kind);
+                std::vector<int32_t> out(ref.size(), -1);
+                dbbGemm(plan, out.data());
+                EXPECT_EQ(out, ref) << dbbKernelKindName(kind) << " k "
+                                    << k << " n " << n;
+            }
+            dbbForceKernelCap(DbbKernelKind::Avx512);
+        }
+    }
+}
+
 TEST(GemmPlan, PlansWithoutTheMirrorStillComputeOutputs)
 {
     Rng rng(0xA9);

@@ -2,8 +2,8 @@
  *  sizes (square and rectangular), odd strides, paddings, grouped
  *  and depthwise fan-outs, and batches, asserting on every shape
  *  that the fast DBB engine matches the scalar reference engine bit
- *  for bit (outputs and event counters), and — at batch 1 — that
- *  both match the direct convolution reference.
+ *  for bit (outputs and event counters), and that every sample of
+ *  the batch matches the direct convolution reference.
  *
  *  Reproducing a failure: every trial derives its own seed and the
  *  failure message carries it. Re-run just that trial with
@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -109,7 +110,8 @@ describe(const LayerWorkload &wl, uint64_t seed)
 }
 
 /** Run one seed's layer on the fast and scalar engines and check
- *  them against each other (and the direct reference at batch 1). */
+ *  them against each other and, sample by sample, against the
+ *  direct reference. */
 void
 fuzzOneSeed(uint64_t seed)
 {
@@ -135,10 +137,26 @@ fuzzOneSeed(uint64_t seed)
     EXPECT_EQ(fr.h2d_bytes, sr.h2d_bytes);
     EXPECT_EQ(fr.d2h_bytes, sr.d2h_bytes);
 
+    // Both engines share the layer's output assembly, so each sample
+    // is also checked against the direct reference on its own.
     if (wl.batch == 1) {
         const Int32Tensor ref =
             convReference(wl.shape, wl.input, wl.weights);
         EXPECT_TRUE(sr.output == ref) << "scalar vs direct reference";
+        return;
+    }
+    const Conv2dShape &s = wl.shape;
+    const int64_t in_len = static_cast<int64_t>(s.in_h) * s.in_w * s.in_c;
+    const int64_t out_len =
+        static_cast<int64_t>(s.outH()) * s.outW() * s.out_c;
+    ASSERT_EQ(sr.output.size(), wl.batch * out_len);
+    for (int b = 0; b < wl.batch; ++b) {
+        Int8Tensor sample({s.in_h, s.in_w, s.in_c});
+        std::copy_n(wl.input.data() + b * in_len, in_len, sample.data());
+        const Int32Tensor ref = convReference(s, sample, wl.weights);
+        EXPECT_TRUE(std::equal(ref.data(), ref.data() + out_len,
+                               sr.output.data() + b * out_len))
+            << "scalar vs direct reference, sample " << b;
     }
 }
 
